@@ -3,15 +3,15 @@
 Exact planar hull geometry, increment models with analytic moments,
 streaming hull functionals along a path, reproducible parallel Monte Carlo,
 and closed-form limit constants with verdicts against simulation.
+
+The package re-exports the names the demos use; everything else is reached
+through its module (``hullwalk.geom2d``, ``hullwalk.walkgen``, ...).
 """
 
 __version__ = "0.1.0"
 
-from . import errors
+from . import errors, geom2d, hullstream, limits, montecarlo, quadrature, walkgen
 from .geom2d import (
-    ConvexPolygon,
-    Degeneracy,
-    Vec2,
     area,
     cauchy_perimeter,
     convex_hull,
@@ -20,68 +20,38 @@ from .geom2d import (
     perimeter,
     steiner_area,
     support,
-    triangle_area,
 )
-from .hullstream import CheckpointSchedule, FunctionalSeries, batch_series, functional_series
+from .hullstream import CheckpointSchedule, functional_series
 from .limits import (
     BROWNIAN,
-    BrownianConstants,
-    LimitReport,
     assemble_report,
     bnb_expected_area,
     brownian_constant_estimates,
     expected_norm_gaussian,
     gaussian_spacetime_area_exact,
     goldman_bridge_variance,
-    kac_expected_max,
     limit_constants,
     partial_sum_pi,
     rogers_shepp_second_moment,
     sw_expected_perimeter,
     u0_bounds,
     v0_bounds,
-    variance_bounds,
     vplus_bounds,
 )
-from .montecarlo import (
-    CltResult,
-    MonteCarloEstimate,
-    SampleSet,
-    clt_test,
-    collect_samples,
-    enumerate_exact,
-    estimate,
-    ks_statistic,
-    martingale_decomposition_check,
-)
-from .walkgen import (
-    Gaussian,
-    Hex6,
-    LatticeSRW,
-    MomentSummary,
-    ParetoDirection,
-    PearsonRayleigh,
-    RngStream,
-    SpacetimeBinary,
-    SpacetimeGaussian,
-    WalkPath,
-    bridge_path,
-    brownian_path,
-    center_of_mass,
-    format_model,
-    moments,
-    parse_model,
-    psi_scaling,
-    sample_path,
-)
+from .montecarlo import clt_test, enumerate_exact, estimate
+from .walkgen import RngStream, parse_model, sample_path
 
 __all__ = [
     "__version__",
+    # modules
     "errors",
+    "geom2d",
+    "hullstream",
+    "limits",
+    "montecarlo",
+    "quadrature",
+    "walkgen",
     # geometry
-    "Vec2",
-    "ConvexPolygon",
-    "Degeneracy",
     "convex_hull",
     "perimeter",
     "area",
@@ -89,54 +59,26 @@ __all__ = [
     "hausdorff",
     "cauchy_perimeter",
     "dist_origin_to_boundary",
-    "triangle_area",
     "steiner_area",
     # walks
-    "LatticeSRW",
-    "Hex6",
-    "PearsonRayleigh",
-    "Gaussian",
-    "SpacetimeBinary",
-    "SpacetimeGaussian",
-    "ParetoDirection",
-    "MomentSummary",
     "RngStream",
-    "WalkPath",
-    "moments",
     "sample_path",
-    "brownian_path",
-    "bridge_path",
-    "psi_scaling",
-    "center_of_mass",
     "parse_model",
-    "format_model",
     # streaming series
     "CheckpointSchedule",
-    "FunctionalSeries",
     "functional_series",
-    "batch_series",
     # Monte Carlo
-    "MonteCarloEstimate",
-    "SampleSet",
-    "CltResult",
     "estimate",
-    "collect_samples",
-    "ks_statistic",
     "clt_test",
     "enumerate_exact",
-    "martingale_decomposition_check",
     # limits
-    "BrownianConstants",
     "BROWNIAN",
-    "LimitReport",
     "sw_expected_perimeter",
-    "kac_expected_max",
     "bnb_expected_area",
     "gaussian_spacetime_area_exact",
     "partial_sum_pi",
     "expected_norm_gaussian",
     "limit_constants",
-    "variance_bounds",
     "u0_bounds",
     "v0_bounds",
     "vplus_bounds",

@@ -2,8 +2,9 @@
 
 Simulation output is CSV with a '#'-prefixed metadata header; everything else
 is JSON.  Exit codes: 0 success, 1 configuration or validation error,
-2 numeric failure (NaN in results).  The HULLWALK_THREADS environment
-variable caps the worker processes without changing any output.
+2 numeric failure (NaN in results), memory exhaustion or a worker process
+that died.  The HULLWALK_THREADS environment variable caps the worker
+processes (at most one per CPU) without changing any output.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -241,10 +243,7 @@ def cmd_clt(args) -> int:
         result = montecarlo.clt_test(model, args.steps, args.replicates, args.seed)
     except HullwalkError as exc:
         raise ConfigError(f"CLT check not applicable: {exc}") from exc
-    mom = model.moments()
-    samples = montecarlo.collect_samples(model, args.steps, args.replicates, args.seed, "L")
-    z = montecarlo.standardized_perimeter_samples(samples, mom.sigma2_mu)
-    counts, edges = np.histogram(z, bins=64, range=(-4.0, 4.0))
+    counts, edges = np.histogram(result.z, bins=64, range=(-4.0, 4.0))
     hist_lines = ["bin_left,bin_right,count"]
     for lo, hi, c in zip(edges[:-1], edges[1:], counts):
         hist_lines.append(f"{_fmt(lo)},{_fmt(hi)},{int(c)}")
@@ -282,10 +281,10 @@ def cmd_constants(args) -> int:
 def cmd_exact(args) -> int:
     model = parse_model(args.model)
     try:
-        ex = montecarlo.enumerate_exact(model, args.steps)
         check = montecarlo.martingale_decomposition_check(model, args.steps)
     except HullwalkError as exc:
         raise ConfigError(str(exc)) from exc
+    ex = check.moments
     ok = math.isclose(check.lhs, check.rhs, rel_tol=1e-10, abs_tol=1e-12)
     out = {
         "model": format_model(model),
@@ -408,6 +407,12 @@ def main(argv=None) -> int:
         return 1
     except NumericFailure as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 2
+    except BrokenProcessPool as exc:
+        print(f"error: a worker process died: {exc}", file=sys.stderr)
         return 2
 
 

@@ -165,7 +165,10 @@ class ConvexPolygon:
     """
 
     vertices: np.ndarray
-    _diameter: float = field(init=False, repr=False, compare=False, default=0.0)
+    # The diameter is kept as _unit_diameter * 2**_exp, where 2**_exp bounds
+    # every |coordinate|: in units of 2**_exp no difference or square overflows.
+    _exp: int = field(init=False, repr=False, compare=False, default=0)
+    _unit_diameter: float = field(init=False, repr=False, compare=False, default=0.0)
 
     def __post_init__(self):
         v = np.asarray(self.vertices, dtype=float)
@@ -184,11 +187,14 @@ class ConvexPolygon:
                 raise ValueError("vertices are not in strictly convex CCW position")
         v.setflags(write=False)
         object.__setattr__(self, "vertices", v)
+        e = _exponent(v)
         d = 0.0
         if k >= 2:
-            diff = v[:, None, :] - v[None, :, :]
+            u = np.ldexp(v, -e)
+            diff = u[:, None, :] - u[None, :, :]
             d = float(np.sqrt((diff * diff).sum(axis=2)).max())
-        object.__setattr__(self, "_diameter", d)
+        object.__setattr__(self, "_exp", e)
+        object.__setattr__(self, "_unit_diameter", d)
 
     @property
     def degeneracy(self) -> Degeneracy:
@@ -201,7 +207,9 @@ class ConvexPolygon:
 
     @property
     def diameter(self) -> float:
-        return self._diameter
+        """Largest distance between vertices; inf beyond the float range."""
+        with np.errstate(over="ignore"):
+            return float(np.ldexp(self._unit_diameter, self._exp))
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Start and end points of the boundary edges (the closed cycle)."""
@@ -213,19 +221,30 @@ class ConvexPolygon:
         return v, np.roll(v, -1, axis=0)
 
     def contains(self, point, rtol: float = MEMBERSHIP_RTOL) -> bool:
-        """Membership test with tolerance ``rtol`` times the diameter."""
+        """Membership test with tolerance ``rtol`` times the diameter.
+
+        Evaluated in units of a power of two that bounds every coordinate,
+        so the scaling is exact and no difference or cross product overflows.
+        """
         p = _point_array(point)
-        v = self.vertices
-        tol = rtol * max(self.diameter, 1.0e-30)
+        x = max(self._exp, _exponent(p))
+        p = np.ldexp(p, -x)
+        v = np.ldexp(self.vertices, -x)
+        tol = rtol * max(np.ldexp(self._unit_diameter, self._exp - x), np.ldexp(1.0e-30, -x))
         if len(v) == 1:
             return bool(np.hypot(*(p - v[0])) <= tol)
         if len(v) == 2:
             return _dist_to_segments(p, v[:1], v[1:]) <= tol
-        a, b = self.edge_arrays()
+        a, b = v, np.roll(v, -1, axis=0)
         e = b - a
         elen = np.hypot(e[:, 0], e[:, 1])
         cross = e[:, 0] * (p[1] - a[:, 1]) - e[:, 1] * (p[0] - a[:, 0])
         return bool((cross >= -tol * elen).all())
+
+
+def _exponent(a: np.ndarray) -> int:
+    """The least e with every |a_i| < 2**e (0 for an all-zero array)."""
+    return math.frexp(float(np.abs(a).max()))[1]
 
 
 def _dist_to_segments(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:

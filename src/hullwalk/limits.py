@@ -20,13 +20,21 @@ import numpy as np
 from .errors import (
     EmptyInputError,
     InfiniteVarianceError,
+    InvalidReplicatesError,
     MismatchedQuantitiesError,
     NotPSDError,
 )
 from .hullstream import _functionals_from_vertices, hull_vertices
 from .montecarlo import MonteCarloEstimate, _map_replicates, _mean_se, _var_se
 from .quadrature import adaptive_simpson
-from .walkgen import DEFAULT_BROWNIAN_GRID, MomentSummary, RngStream, psd_sqrt
+from .walkgen import (
+    DEFAULT_BROWNIAN_GRID,
+    MomentSummary,
+    RngStream,
+    bridge_path,
+    brownian_path,
+    psd_sqrt,
+)
 
 
 @dataclass(frozen=True)
@@ -332,29 +340,26 @@ def goldman_bridge_variance() -> float:
 
 
 def _brownian_block(lo: int, hi: int, grid_n: int, master_seed: int) -> np.ndarray:
+    identity = np.eye(2)
     inv = 1.0 / math.sqrt(grid_n)
-    t_grid = np.arange(grid_n + 1)[:, None] / grid_n
+    t_grid = np.arange(grid_n + 1) / grid_n
     out = np.empty((hi - lo, 5))
     for i in range(lo, hi):
         g = RngStream(master_seed, i).generator()
 
-        pos = np.empty((grid_n + 1, 2))
-        pos[0] = 0.0
-        np.cumsum(g.standard_normal((grid_n, 2)) * inv, axis=0, out=pos[1:])
+        pos = brownian_path(identity, grid_n, g).positions
         l1, a1, _ = _functionals_from_vertices(hull_vertices(pos))
 
+        # the space-time path (t, w(t)) of a line Brownian motion
         w = np.cumsum(g.standard_normal(grid_n) * inv)
         st = np.empty((grid_n + 1, 2))
-        st[:, 0] = t_grid[:, 0]
+        st[:, 0] = t_grid
         st[0, 1] = 0.0
         st[1:, 1] = w
         _, at1, _ = _functionals_from_vertices(hull_vertices(st))
         w_range = max(w.max(), 0.0) - min(w.min(), 0.0)
 
-        br = np.empty((grid_n + 1, 2))
-        br[0] = 0.0
-        np.cumsum(g.standard_normal((grid_n, 2)) * inv, axis=0, out=br[1:])
-        br -= t_grid * br[-1]
+        br = bridge_path(grid_n, g).positions
         lb, _, _ = _functionals_from_vertices(hull_vertices(br))
 
         out[i - lo] = (l1, a1, at1, w_range * w_range, lb)
@@ -373,6 +378,8 @@ def brownian_constant_estimates(
     """
     if grid_n < 2:
         raise ValueError(f"grid_n must be >= 2, got {grid_n}")
+    if replicates < 2:
+        raise InvalidReplicatesError(f"need replicates >= 2, got {replicates}")
     vals = _map_replicates(_brownian_block, replicates, (grid_n, master_seed))
     l1, a1, at1, rsq, lb = (vals[:, j] for j in range(5))
 

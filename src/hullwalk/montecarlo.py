@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtr
@@ -61,14 +61,15 @@ class SampleSet:
 
 
 def worker_count() -> int:
-    """Workers to use: HULLWALK_THREADS if set, else the CPU count."""
+    """Workers to use: the CPU count, or HULLWALK_THREADS if that is smaller."""
+    cpus = os.cpu_count() or 1
     env = os.environ.get(THREADS_ENV_VAR)
     if env:
         w = int(env)
         if w < 1:
             raise ValueError(f"{THREADS_ENV_VAR} must be >= 1, got {w}")
-        return w
-    return os.cpu_count() or 1
+        return min(w, cpus)
+    return cpus
 
 
 def _map_replicates(func, total: int, args: tuple, min_chunk: int = 64) -> np.ndarray:
@@ -234,6 +235,7 @@ class CltResult:
     D: float
     threshold: float
     passed: bool
+    z: np.ndarray = field(repr=False, compare=False)  # the standardized samples tested
 
 
 def clt_test(model, n: int, replicates: int, master_seed: int) -> CltResult:
@@ -241,7 +243,7 @@ def clt_test(model, n: int, replicates: int, master_seed: int) -> CltResult:
 
     Centers terminal L samples at their sample mean, scales by the theoretical
     standard deviation, and compares with the standard normal cdf at the 5%
-    KS level.
+    KS level.  The result carries the standardized samples.
 
     Raises:
         ZeroDriftError: if the model has zero mean increment.
@@ -259,7 +261,7 @@ def clt_test(model, n: int, replicates: int, master_seed: int) -> CltResult:
     z = standardized_perimeter_samples(samples, mom.sigma2_mu)
     d = ks_statistic(z, ndtr)
     thr = ks_threshold(replicates)
-    return CltResult(D=d, threshold=thr, passed=d < thr)
+    return CltResult(D=d, threshold=thr, passed=d < thr, z=z)
 
 
 def standardized_perimeter_samples(samples: SampleSet, sigma2_mu: float) -> np.ndarray:
@@ -294,17 +296,31 @@ def _path_LA(points: list[tuple[float, float]], bound: float) -> tuple[float, fl
     return L, 0.5 * abs(A2)
 
 
+def _check_budget(s: int, k: int, budget: int):
+    if s**k > budget:
+        raise SupportTooLargeError(f"support^{k} = {s**k} exceeds the {budget} budget")
+
+
+def _sequence_weights(probs: np.ndarray, k: int) -> np.ndarray:
+    """Probability of every length-k step sequence, in enumeration order."""
+    w = np.ones(1)
+    for _ in range(k):
+        w = np.kron(w, probs)
+    return w
+
+
 def _enumerate_functionals(model, n: int, budget: int):
-    """L and A of every length-n step sequence, plus the sequence weights.
+    """L and A of every length-n step sequence, plus the step probabilities.
 
     Entry j corresponds to the big-endian base-s expansion of j over the
-    support, so reshaping to (s,) * n puts step i on axis i - 1.
+    support, so reshaping to (s,) * n puts step i on axis i - 1, and
+    ``_sequence_weights(probs, n)`` gives the entries' weights.
     """
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
     steps, probs = model.support()
-    s = len(steps)
-    total = s**n
-    if total > budget:
-        raise SupportTooLargeError(f"support^{n} = {total} exceeds the {budget} budget")
+    _check_budget(len(steps), n, budget)
+    total = len(steps) ** n
     step_tuples = [(float(x), float(y)) for x, y in steps]
     # Every position lies within n steps of the origin, so one box bounds the
     # orientation error for all paths (a factor 2 spare covers rounding in
@@ -334,10 +350,7 @@ def _enumerate_functionals(model, n: int, budget: int):
             positions.pop()
 
     dfs(0)
-    weights = np.ones(1)
-    for _ in range(n):
-        weights = np.kron(weights, probs)
-    return L_all, A_all, weights, s, np.asarray(probs, dtype=float)
+    return L_all, A_all, np.asarray(probs, dtype=float)
 
 
 def exact_position_distributions(model, n: int, budget: int = ENUMERATION_BUDGET):
@@ -395,6 +408,12 @@ class ExactMoments:
     EA: float
 
 
+def _exact_moments(L_all: np.ndarray, A_all: np.ndarray, w: np.ndarray) -> ExactMoments:
+    el = float(w @ L_all)
+    var = float(w @ (L_all * L_all)) - el * el
+    return ExactMoments(el, max(var, 0.0), float(w @ A_all))
+
+
 def enumerate_exact(model, n: int, budget: int = ENUMERATION_BUDGET) -> ExactMoments:
     """Exact E[L_n], Var[L_n], E[A_n] by full enumeration of support^n.
 
@@ -404,50 +423,46 @@ def enumerate_exact(model, n: int, budget: int = ENUMERATION_BUDGET) -> ExactMom
     """
     if n == 0:
         return ExactMoments(0.0, 0.0, 0.0)
-    L_all, A_all, w, _, _ = _enumerate_functionals(model, n, budget)
-    el = float(w @ L_all)
-    var = float(w @ (L_all * L_all)) - el * el
-    return ExactMoments(el, max(var, 0.0), float(w @ A_all))
+    L_all, A_all, p = _enumerate_functionals(model, n, budget)
+    return _exact_moments(L_all, A_all, _sequence_weights(p, n))
 
 
 @dataclass(frozen=True)
 class MartingaleCheck:
-    lhs: float
+    """Both sides of Var L_n = sum_i E[D_i^2], and the moments they came from."""
+
+    moments: ExactMoments
     rhs: float
+
+    @property
+    def lhs(self) -> float:
+        return self.moments.VarL
 
 
 def martingale_decomposition_check(model, n: int, budget: int = ENUMERATION_BUDGET) -> MartingaleCheck:
     """Exact check of Var L_n = sum_i E[D_i^2] for the resampling differences.
 
     D_i = E[L_n - L_n^(i) | first i steps], where L_n^(i) is the perimeter
-    after independently resampling step i.  Both sides are evaluated by full
-    enumeration: the left as the variance over support^n, the right by
+    after independently resampling step i.  Both sides are evaluated from one
+    enumeration of support^n: the left as the variance over it, the right by
     averaging the resampled perimeter over (replacement step, future) for
-    every prefix.
+    every prefix.  The same enumeration gives the exact E L_n and E A_n.
 
     Raises:
-        SupportTooLargeError: if support^(n+1) exceeds the budget.
+        NotFiniteSupportError: for models with continuous increments.
+        SupportTooLargeError: if support^n or support^(n+1) exceeds the
+            budget; both are checked before enumerating.
     """
-    steps, probs = model.support()
-    s = len(steps)
-    if s ** (n + 1) > budget:
-        raise SupportTooLargeError(f"support^{n + 1} = {s ** (n + 1)} exceeds the {budget} budget")
-    L_all, _, w_all, s, p = _enumerate_functionals(model, n, budget)
-    el = float(w_all @ L_all)
-    lhs = float(w_all @ (L_all * L_all)) - el * el
+    s = len(model.support()[0])
+    _check_budget(s, n, budget)
+    _check_budget(s, n + 1, budget)
+    L_all, A_all, p = _enumerate_functionals(model, n, budget)
 
     rhs = 0.0
     for i in range(1, n + 1):
-        head, fut = s ** (i - 1), s ** (n - i)
-        T = L_all.reshape(head, s, fut)
-        w_fut = np.ones(1)
-        for _ in range(n - i):
-            w_fut = np.kron(w_fut, p)
-        m1 = T @ w_fut  # E[L_n | first i steps]            -> (head, s)
+        T = L_all.reshape(s ** (i - 1), s, s ** (n - i))
+        m1 = T @ _sequence_weights(p, n - i)  # E[L_n | first i steps] -> (head, s)
         m2 = m1 @ p  # E[L_n^(i) | first i steps], resampled -> (head,)
         d = m1 - m2[:, None]
-        w_head = np.ones(1)
-        for _ in range(i - 1):
-            w_head = np.kron(w_head, p)
-        rhs += float(w_head @ ((d * d) @ p))
-    return MartingaleCheck(lhs=max(lhs, 0.0), rhs=rhs)
+        rhs += float(_sequence_weights(p, i - 1) @ ((d * d) @ p))
+    return MartingaleCheck(_exact_moments(L_all, A_all, _sequence_weights(p, n)), rhs)

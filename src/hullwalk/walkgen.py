@@ -334,22 +334,6 @@ class ParetoDirection:
         return f"pareto:{self.alpha:g},{self.drift[0]:g},{self.drift[1]:g}"
 
 
-IncrementModel = (
-    LatticeSRW
-    | Hex6
-    | PearsonRayleigh
-    | Gaussian
-    | SpacetimeBinary
-    | SpacetimeGaussian
-    | ParetoDirection
-)
-
-
-def moments(model) -> MomentSummary:
-    """Analytic moments of the increment distribution."""
-    return model.moments()
-
-
 # ---------------------------------------------------------------------------
 # Model specification grammar
 # ---------------------------------------------------------------------------
@@ -447,33 +431,41 @@ def sample_path(model, n: int, stream: RngStream) -> WalkPath:
     return _cumsum_path(model.sample_increments(n, stream.generator()))
 
 
-def brownian_path(cov, grid_n: int, stream: RngStream) -> WalkPath:
-    """Discretized correlated Brownian motion on [0, 1].
+def _brownian_positions(cov, grid_n: int, rng: np.random.Generator) -> np.ndarray:
+    """brownian_path's positions as a writable array, which bridge_path pins in place.
 
-    Positions are partial sums of N(0, cov / grid_n) steps, approximating
-    sqrt(cov) b(k / grid_n).
-
-    Raises:
-        NotPSDError: if ``cov`` is not symmetric positive semidefinite.
+    Both samplers fill one preallocated array, so a path costs one array of
+    its size plus the draws; that sets the peak memory of ``constants``.
     """
     if grid_n < 1:
         raise ValueError(f"grid_n must be >= 1, got {grid_n}")
     root = psd_sqrt(np.asarray(cov, dtype=float)) / math.sqrt(grid_n)
-    z = stream.generator().standard_normal((grid_n, 2))
-    return _cumsum_path(z @ root)
-
-
-def bridge_path(grid_n: int, stream: RngStream) -> WalkPath:
-    """Standard planar Brownian bridge on [0, 1]: b(t) - t b(1) on a grid."""
-    if grid_n < 1:
-        raise ValueError(f"grid_n must be >= 1, got {grid_n}")
-    z = stream.generator().standard_normal((grid_n, 2)) / math.sqrt(grid_n)
     pos = np.empty((grid_n + 1, 2))
     pos[0] = 0.0
-    np.cumsum(z, axis=0, out=pos[1:])
-    t = np.arange(grid_n + 1)[:, None] / grid_n
-    pos -= t * pos[-1]
-    pos[-1] = 0.0
+    np.matmul(rng.standard_normal((grid_n, 2)), root, out=pos[1:])
+    np.cumsum(pos[1:], axis=0, out=pos[1:])
+    return pos
+
+
+def brownian_path(cov, grid_n: int, rng: np.random.Generator) -> WalkPath:
+    """Discretized correlated Brownian motion on [0, 1].
+
+    Positions are partial sums of N(0, cov / grid_n) steps, approximating
+    sqrt(cov) b(k / grid_n).  Draws grid_n standard normal pairs from ``rng``.
+
+    Raises:
+        NotPSDError: if ``cov`` is not symmetric positive semidefinite.
+    """
+    return WalkPath(_brownian_positions(cov, grid_n, rng))
+
+
+def bridge_path(grid_n: int, rng: np.random.Generator) -> WalkPath:
+    """Standard planar Brownian bridge on [0, 1]: b(t) - t b(1) on a grid.
+
+    b is ``brownian_path(I, grid_n, rng)``, so the bridge makes the same draws.
+    """
+    pos = _brownian_positions(np.eye(2), grid_n, rng)
+    pos -= np.arange(grid_n + 1)[:, None] / grid_n * pos[-1]
     return WalkPath(pos)
 
 
@@ -517,6 +509,3 @@ def center_of_mass(path: WalkPath) -> WalkPath:
         sums = np.cumsum(pos[1:], axis=0)
         out[1:] = sums / np.arange(1, n + 1)[:, None]
     return WalkPath(out)
-
-
-ALL_MODEL_SPECS = ("lattice", "hex6", "pr", "pr:0.2,0", "gauss", "st-binary", "st-gauss")

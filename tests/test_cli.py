@@ -2,6 +2,7 @@
 
 import json
 import math
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -83,6 +84,19 @@ def test_numeric_failure_exit_code(monkeypatch, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("exc", [MemoryError(), BrokenProcessPool("worker killed")])
+def test_resource_failure_exit_code(monkeypatch, tmp_path, capsys, exc):
+    def failing_estimate(*args):
+        raise exc
+
+    monkeypatch.setattr(cli.montecarlo, "estimate", failing_estimate)
+    code = main(["simulate", "--model", "lattice", "--steps", "10", "--replicates", "10",
+                 "--out", str(tmp_path / "z.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # limits
 # ---------------------------------------------------------------------------
@@ -138,6 +152,21 @@ def test_clt_pass_and_histogram(tmp_path):
     assert math.isclose(lefts[0], -4.0) and len(lefts) == 64
 
 
+def test_clt_samples_once(monkeypatch, tmp_path):
+    # 100 replicates stay below two chunks, so sampling runs in this process
+    calls = []
+    collect = cli.montecarlo.collect_samples
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return collect(*args, **kwargs)
+
+    monkeypatch.setattr(cli.montecarlo, "collect_samples", counted)
+    assert main(["clt", "--model", "pr:0.2,0", "--steps", "100", "--replicates", "100",
+                 "--hist-out", str(tmp_path / "h.csv"), "--out", str(tmp_path / "v.json")]) == 0
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # exact / constants
 # ---------------------------------------------------------------------------
@@ -154,6 +183,42 @@ def test_exact_lattice(tmp_path):
 
 def test_exact_rejects_continuous_support(capsys):
     assert main(["exact", "--model", "pr", "--steps", "2"]) == 1
+
+
+def test_negative_steps_and_single_replicate_exit_one(capsys):
+    assert main(["exact", "--model", "lattice", "--steps", "-1"]) == 1
+    assert "nonnegative" in capsys.readouterr().err
+    assert main(["constants", "--grid", "64", "--replicates", "1"]) == 1
+    assert "replicates >= 2" in capsys.readouterr().err
+
+
+def _count_enumerations(monkeypatch) -> list:
+    calls = []
+    enumerate_functionals = cli.montecarlo._enumerate_functionals
+
+    def counted(*args):
+        calls.append(args)
+        return enumerate_functionals(*args)
+
+    monkeypatch.setattr(cli.montecarlo, "_enumerate_functionals", counted)
+    return calls
+
+
+def test_exact_enumerates_once(monkeypatch, tmp_path):
+    calls = _count_enumerations(monkeypatch)
+    out = tmp_path / "e.json"
+    assert main(["exact", "--model", "hex6", "--steps", "3", "--out", str(out)]) == 0
+    assert len(calls) == 1
+    data = json.loads(out.read_text())
+    assert data["VarL"] == data["mdiff_lhs"]
+    assert data["mdiff_check"] == "ok"
+
+
+def test_exact_budget_checked_before_enumerating(monkeypatch, capsys):
+    calls = _count_enumerations(monkeypatch)
+    assert main(["exact", "--model", "hex6", "--steps", "8"]) == 1
+    assert capsys.readouterr().err == "error: support^9 = 10077696 exceeds the 10000000 budget\n"
+    assert calls == []
 
 
 def test_constants_small_run(tmp_path):

@@ -127,6 +127,19 @@ def test_orient2d_matches_exact_rational(o, a, p):
 # ---------------------------------------------------------------------------
 
 
+def test_contains_near_float_limit():
+    # coordinate differences here overflow to inf without rescaling
+    poly = g.convex_hull([(1e308, 1e308), (-1e308, -1e308), (1e308, -1e308)])
+    assert poly.contains((0.0, 0.0))  # on the diagonal edge
+    assert poly.contains((5e307, -5e307))
+    assert not poly.contains((-1e308, 1e308))
+    assert not poly.contains((-1e307, 0.0))
+    assert poly.diameter == math.inf  # 2 sqrt(2) 1e308 exceeds the float range
+    big = g.convex_hull([(1e200, 0.0), (0.0, 1e200), (-1e200, -1e200)])
+    assert math.isclose(big.diameter, math.sqrt(5.0) * 1e200, rel_tol=1e-15)
+    assert big.contains((0.0, 0.0)) and not big.contains((1e200, 1e200))
+
+
 def test_perimeter_values():
     assert g.perimeter(g.convex_hull(SQUARE)) == 4.0
     assert g.perimeter(g.convex_hull([(0, 0), (2, 0)])) == 4.0  # flat sets count twice

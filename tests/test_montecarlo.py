@@ -57,6 +57,21 @@ def test_estimate_independent_of_worker_count(monkeypatch):
     assert results[0] == results[1] == results[2]
 
 
+def test_worker_count_capped_at_cpu_count(monkeypatch):
+    monkeypatch.setattr(mc.os, "cpu_count", lambda: 2)
+    monkeypatch.setenv(mc.THREADS_ENV_VAR, "4096")
+    assert mc.worker_count() == 2
+    monkeypatch.setenv(mc.THREADS_ENV_VAR, "1")
+    assert mc.worker_count() == 1
+    monkeypatch.delenv(mc.THREADS_ENV_VAR)
+    assert mc.worker_count() == 2
+    monkeypatch.setattr(mc.os, "cpu_count", lambda: None)
+    assert mc.worker_count() == 1
+    monkeypatch.setenv(mc.THREADS_ENV_VAR, "0")
+    with pytest.raises(ValueError):
+        mc.worker_count()
+
+
 def test_estimate_drift_perimeter_rate():
     # mean L_n / n approaches 2|mu| = 0.4; at n = 1e4 the remaining upward
     # finite-n excess is under one percent, well inside the two-percent band
@@ -178,6 +193,13 @@ def test_martingale_decomposition_exact():
     for model, n in ((w.LatticeSRW(), 2), (w.Hex6(), 3), (w.SpacetimeBinary(), 6)):
         chk = mc.martingale_decomposition_check(model, n)
         assert abs(chk.lhs - chk.rhs) < 1e-12
+
+
+def test_martingale_check_carries_enumeration_moments():
+    for model, n in ((w.LatticeSRW(), 4), (w.Hex6(), 3), (w.SpacetimeBinary(), 0)):
+        chk = mc.martingale_decomposition_check(model, n)
+        assert chk.moments == mc.enumerate_exact(model, n)
+        assert chk.lhs == chk.moments.VarL
 
 
 def test_martingale_single_step_trivial():

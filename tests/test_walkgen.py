@@ -127,9 +127,9 @@ def test_walkpath_must_start_at_origin():
 
 
 def test_brownian_path_zero_cov_and_single_step():
-    p = w.brownian_path(np.zeros((2, 2)), 16, w.RngStream(1))
+    p = w.brownian_path(np.zeros((2, 2)), 16, w.RngStream(1).generator())
     assert np.all(p.positions == 0.0)
-    q = w.brownian_path(np.eye(2), 1, w.RngStream(1))
+    q = w.brownian_path(np.eye(2), 1, w.RngStream(1).generator())
     assert q.positions.shape == (2, 2)
 
 
@@ -137,7 +137,7 @@ def test_brownian_path_endpoint_second_moment():
     # E|S_N|^2 = trace(cov) = 2 by independence of the increments
     vals = []
     for i in range(600):
-        p = w.brownian_path(np.eye(2), 64, w.RngStream(11, i))
+        p = w.brownian_path(np.eye(2), 64, w.RngStream(11, i).generator())
         vals.append(float(p.positions[-1] @ p.positions[-1]))
     vals = np.asarray(vals)
     se = vals.std(ddof=1) / math.sqrt(len(vals))
@@ -146,17 +146,23 @@ def test_brownian_path_endpoint_second_moment():
 
 def test_brownian_path_rejects_non_psd():
     with pytest.raises(NotPSDError):
-        w.brownian_path([[1.0, 0.0], [0.0, -1.0]], 8, w.RngStream(0))
+        w.brownian_path([[1.0, 0.0], [0.0, -1.0]], 8, w.RngStream(0).generator())
     with pytest.raises(NotPSDError):
-        w.brownian_path([[1.0, 0.5], [0.0, 1.0]], 8, w.RngStream(0))
+        w.brownian_path([[1.0, 0.5], [0.0, 1.0]], 8, w.RngStream(0).generator())
 
 
 def test_bridge_path_pinned_at_both_ends():
-    p = w.bridge_path(256, w.RngStream(3, 1)).positions
+    p = w.bridge_path(256, w.RngStream(3, 1).generator()).positions
     assert p[0].tolist() == [0.0, 0.0]
     assert p[-1].tolist() == [0.0, 0.0]
-    tiny = w.bridge_path(1, w.RngStream(3)).positions
+    tiny = w.bridge_path(1, w.RngStream(3).generator()).positions
     assert np.all(tiny == 0.0)
+
+
+def test_bridge_path_is_pinned_brownian_path():
+    b = w.brownian_path(np.eye(2), 64, w.RngStream(5).generator()).positions
+    t = np.arange(65)[:, None] / 64
+    assert np.array_equal(w.bridge_path(64, w.RngStream(5).generator()).positions, b - t * b[-1])
 
 
 def test_psd_sqrt_closed_form():
@@ -176,8 +182,8 @@ def test_brownian_area_scaling_with_paired_seeds():
 
     ratios = []
     for i in range(40):
-        p1 = w.brownian_path(np.eye(2), 4096, w.RngStream(21, i)).positions
-        p2 = w.brownian_path(2.0 * np.eye(2), 4096, w.RngStream(21, i)).positions
+        p1 = w.brownian_path(np.eye(2), 4096, w.RngStream(21, i).generator()).positions
+        p2 = w.brownian_path(2.0 * np.eye(2), 4096, w.RngStream(21, i).generator()).positions
         a1 = _functionals_from_vertices(hull_vertices(p1))[1]
         a2 = _functionals_from_vertices(hull_vertices(p2))[1]
         ratios.append(a2 / a1)
