@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__, limits, montecarlo
 from .errors import HullwalkError
 from .hullstream import CheckpointSchedule
-from .walkgen import DEFAULT_BROWNIAN_GRID, format_model, parse_model
+from .walkgen import DEFAULT_BROWNIAN_GRID, parse_model
 
 DEFAULT_BUDGET = 10**10
 
@@ -176,7 +176,7 @@ def cmd_simulate(args) -> int:
     lines = [
         f"# hullwalk simulate v{__version__}",
         f"# timestamp: {datetime.now(timezone.utc).isoformat()}",
-        f"# model: {format_model(model)}",
+        f"# model: {model.spec_string()}",
         f"# seed: {cfg.seed}",
         f"# steps: {cfg.steps}",
         f"# replicates: {cfg.replicates}",
@@ -215,10 +215,10 @@ def cmd_limits(args) -> int:
     mom = model.moments()
     if not mom.finite_variance and not args.allow_heavy:
         raise ConfigError(
-            f"model {format_model(model)!r} has infinite variance; "
+            f"model {model.spec_string()!r} has infinite variance; "
             "no limit constants apply (pass --allow-heavy to emit drift only)"
         )
-    out: dict = {"model": format_model(model), "norm_mu": mom.norm_mu}
+    out: dict = {"model": model.spec_string(), "norm_mu": mom.norm_mu}
     if mom.finite_variance:
         out.update(dict(limits.limit_constants(mom)))
         vb = limits.variance_bounds(
@@ -252,7 +252,7 @@ def cmd_clt(args) -> int:
         "D": result.D,
         "threshold": result.threshold,
         "pass": result.passed,
-        "model": format_model(model),
+        "model": model.spec_string(),
         "steps": args.steps,
         "replicates": args.replicates,
         "histogram": args.hist_out,
@@ -287,7 +287,7 @@ def cmd_exact(args) -> int:
     ex = check.moments
     ok = math.isclose(check.lhs, check.rhs, rel_tol=1e-10, abs_tol=1e-12)
     out = {
-        "model": format_model(model),
+        "model": model.spec_string(),
         "steps": args.steps,
         "EL": ex.EL,
         "VarL": ex.VarL,

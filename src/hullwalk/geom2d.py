@@ -7,6 +7,10 @@ on convex compact sets: perimeter with the lower-dimensional convention
 distance via support-function sampling, Steiner parallel-body area, and a
 Cauchy-formula quadrature that serves as an independent perimeter oracle.
 
+Perimeter, area and inradius have one implementation, ``_perimeter_area``
+and ``_inradius``: pure Python over the closed vertex cycle, used by every
+caller in the package.
+
 All functions are pure; nothing here keeps mutable state, so everything is
 safe to call concurrently.
 """
@@ -155,6 +159,42 @@ def _chain(points: list[tuple[float, float]], bound: float) -> list[tuple[float,
     return hull
 
 
+def _hull(points: list[tuple[float, float]], bound: float) -> list[tuple[float, float]]:
+    """CCW extreme points of a list of (x, y) float pairs: sort, dedupe, chain.
+
+    ``bound`` is as for ``_chain``.  A single distinct point is its own hull.
+    """
+    pts = sorted(set(points))
+    if len(pts) == 1:
+        return pts
+    return _chain(pts, bound)
+
+
+def _perimeter_area(hull: list) -> tuple[float, float]:
+    """Perimeter and area of the closed vertex cycle ``hull`` of (x, y) pairs.
+
+    A segment is walked there and back (twice its length, zero area) and a
+    point is one zero-length edge, so degenerate hulls need no branches.
+    """
+    L = 0.0
+    A2 = 0.0
+    for (x0, y0), (x1, y1) in zip(hull, hull[1:] + hull[:1]):
+        L += math.hypot(x1 - x0, y1 - y0)
+        A2 += x0 * y1 - x1 * y0
+    return L, 0.5 * abs(A2)
+
+
+def _inradius(hull: list) -> float:
+    """Distance from the origin to the closed vertex cycle ``hull`` of (x, y) pairs."""
+    r = math.inf
+    for (x0, y0), (x1, y1) in zip(hull, hull[1:] + hull[:1]):
+        dx, dy = x1 - x0, y1 - y0
+        d2 = dx * dx + dy * dy
+        t = min(1.0, max(0.0, -(x0 * dx + y0 * dy) / d2)) if d2 else 0.0
+        r = min(r, math.hypot(x0 + t * dx, y0 + t * dy))
+    return r
+
+
 @dataclass(frozen=True)
 class ConvexPolygon:
     """A convex compact set given by its extreme points in CCW order.
@@ -208,17 +248,11 @@ class ConvexPolygon:
     @property
     def diameter(self) -> float:
         """Largest distance between vertices; inf beyond the float range."""
-        with np.errstate(over="ignore"):
-            return float(np.ldexp(self._unit_diameter, self._exp))
+        return _times_pow2(self._unit_diameter, self._exp)
 
-    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Start and end points of the boundary edges (the closed cycle)."""
-        v = self.vertices
-        if len(v) == 1:
-            return v, v
-        if len(v) == 2:
-            return v[:1], v[1:]
-        return v, np.roll(v, -1, axis=0)
+    def _unit_cycle(self) -> list[list[float]]:
+        """The vertices in units of 2**_exp (exact): no edge vector or product overflows."""
+        return np.ldexp(self.vertices, -self._exp).tolist()
 
     def contains(self, point, rtol: float = MEMBERSHIP_RTOL) -> bool:
         """Membership test with tolerance ``rtol`` times the diameter.
@@ -231,10 +265,8 @@ class ConvexPolygon:
         p = np.ldexp(p, -x)
         v = np.ldexp(self.vertices, -x)
         tol = rtol * max(np.ldexp(self._unit_diameter, self._exp - x), np.ldexp(1.0e-30, -x))
-        if len(v) == 1:
-            return bool(np.hypot(*(p - v[0])) <= tol)
-        if len(v) == 2:
-            return _dist_to_segments(p, v[:1], v[1:]) <= tol
+        if len(v) <= 2:
+            return _inradius((v - p).tolist()) <= tol
         a, b = v, np.roll(v, -1, axis=0)
         e = b - a
         elen = np.hypot(e[:, 0], e[:, 1])
@@ -247,14 +279,10 @@ def _exponent(a: np.ndarray) -> int:
     return math.frexp(float(np.abs(a).max()))[1]
 
 
-def _dist_to_segments(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    """Minimum distance from point p to a family of segments [a_i, b_i]."""
-    d = b - a
-    denom = (d * d).sum(axis=1)
-    denom_safe = np.where(denom > 0, denom, 1.0)
-    t = np.clip(((p - a) * d).sum(axis=1) / denom_safe, 0.0, 1.0)
-    proj = a + t[:, None] * d
-    return float(np.hypot(proj[:, 0] - p[0], proj[:, 1] - p[1]).min())
+def _times_pow2(x: float, e: int) -> float:
+    """x * 2**e, inf beyond the float range."""
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(x, e))
 
 
 def convex_hull(points) -> ConvexPolygon:
@@ -267,17 +295,11 @@ def convex_hull(points) -> ConvexPolygon:
         EmptyInputError: if no points are given.
     """
     arr = _points_array(points)
-    order = np.lexsort((arr[:, 1], arr[:, 0]))
-    pts = [tuple(q) for q in arr[order]]
-    dedup = [pts[0]]
-    for q in pts[1:]:
-        if q != dedup[-1]:
-            dedup.append(q)
-    if len(dedup) == 1:
-        return ConvexPolygon(np.array(dedup))
-    width, height = np.ptp(arr, axis=0)
+    # Python floats: near the float limit the box sides overflow to inf
+    # (every turn then goes to the exact stage) without numpy warnings.
+    (x_lo, y_lo), (x_hi, y_hi) = arr.min(axis=0).tolist(), arr.max(axis=0).tolist()
     integral = bool(np.array_equal(arr, np.round(arr)))
-    hull = _chain(dedup, _orient_bound(float(width), float(height), integral))
+    hull = _hull(list(map(tuple, arr.tolist())), _orient_bound(x_hi - x_lo, y_hi - y_lo, integral))
     return ConvexPolygon(np.array(hull))
 
 
@@ -288,22 +310,12 @@ def perimeter(poly: ConvexPolygon) -> float:
     segment twice its length (the boundary of a flat set is walked in both
     directions), and a point zero.
     """
-    v = poly.vertices
-    if len(v) == 1:
-        return 0.0
-    if len(v) == 2:
-        return 2.0 * float(np.hypot(*(v[1] - v[0])))
-    e = np.roll(v, -1, axis=0) - v
-    return float(np.hypot(e[:, 0], e[:, 1]).sum())
+    return _times_pow2(_perimeter_area(poly._unit_cycle())[0], poly._exp)
 
 
 def area(poly: ConvexPolygon) -> float:
     """Area by the shoelace formula; zero for points and segments."""
-    v = poly.vertices
-    if len(v) <= 2:
-        return 0.0
-    x, y = v[:, 0], v[:, 1]
-    return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
+    return _times_pow2(_perimeter_area(poly._unit_cycle())[1], 2 * poly._exp)
 
 
 def support(poly: ConvexPolygon, direction) -> float:
@@ -383,14 +395,9 @@ def dist_origin_to_boundary(poly: ConvexPolygon) -> float:
     Raises:
         OriginOutsideError: if the membership test fails.
     """
-    origin = np.zeros(2)
-    if not poly.contains(origin):
+    if not poly.contains((0.0, 0.0)):
         raise OriginOutsideError("origin is not inside the polygon")
-    v = poly.vertices
-    if len(v) == 1:
-        return 0.0
-    a, b = poly.edge_arrays()
-    return _dist_to_segments(origin, a, b)
+    return _times_pow2(_inradius(poly._unit_cycle()), poly._exp)
 
 
 def triangle_area(u, v) -> float:
@@ -414,12 +421,3 @@ def steiner_area(poly: ConvexPolygon, r: float) -> float:
     if r < 0:
         raise ValueError(f"r must be nonnegative, got {r}")
     return area(poly) + r * perimeter(poly) + math.pi * r * r
-
-
-def hull_functionals(points) -> tuple[float, float, float]:
-    """(perimeter, area, distance origin-to-boundary) of hull(points).
-
-    Convenience wrapper used by the batch recomputation oracle.
-    """
-    poly = convex_hull(points)
-    return perimeter(poly), area(poly), dist_origin_to_boundary(poly)

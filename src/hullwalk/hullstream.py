@@ -7,8 +7,10 @@ many checkpoints there are.  Hulls of the non-degenerate blocks go through
 Qhull; collinear or tiny blocks fall back to the exact monotone chain.  The
 inradius is not edge-local, so it is evaluated lazily at checkpoints only.
 
-``batch_series`` recomputes everything from scratch with the pure geometry
-kernel at every checkpoint and is the correctness oracle for the fast pass.
+``batch_series`` recomputes every hull from scratch with ``geom2d``'s exact
+monotone chain and is the correctness oracle for the fast pass: its hull
+construction is independent, and both evaluate (L, A, r) with ``geom2d``'s
+functional kernel, ``_perimeter_area`` and ``_inradius``.
 """
 
 from __future__ import annotations
@@ -165,33 +167,8 @@ def hull_vertices(points: np.ndarray) -> np.ndarray:
 
 def _functionals_from_vertices(v: np.ndarray) -> tuple[float, float, float]:
     """(L, A, r) of the polygon with vertex cycle v; origin assumed inside."""
-    h = len(v)
-    if h == 1:
-        return 0.0, 0.0, 0.0
-    if h == 2:
-        seg = v[1] - v[0]
-        length = math.hypot(seg[0], seg[1])
-        return 2.0 * length, 0.0, _segment_dist_origin(v[0], v[1])
-    e = np.roll(v, -1, axis=0) - v
-    elen = np.hypot(e[:, 0], e[:, 1])
-    L = float(elen.sum())
-    x, y = v[:, 0], v[:, 1]
-    A = 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
-    denom = elen * elen
-    denom[denom == 0.0] = 1.0
-    t = np.clip(-(v * e).sum(axis=1) / denom, 0.0, 1.0)
-    proj = v + t[:, None] * e
-    r = float(np.hypot(proj[:, 0], proj[:, 1]).min())
-    return L, A, r
-
-
-def _segment_dist_origin(a: np.ndarray, b: np.ndarray) -> float:
-    d = b - a
-    denom = d[0] * d[0] + d[1] * d[1]
-    if denom == 0.0:
-        return math.hypot(a[0], a[1])
-    t = min(1.0, max(0.0, -(a[0] * d[0] + a[1] * d[1]) / denom))
-    return math.hypot(a[0] + t * d[0], a[1] + t * d[1])
+    hull = v.tolist()
+    return (*geom2d._perimeter_area(hull), geom2d._inradius(hull))
 
 
 # ---------------------------------------------------------------------------
@@ -233,9 +210,7 @@ def batch_series(path, sched: CheckpointSchedule) -> FunctionalSeries:
     """Reference implementation: hull from scratch at every checkpoint."""
     positions = _positions(path)
     checkpoints = sched.resolve(len(positions) - 1)
-    L = np.empty(len(checkpoints))
-    A = np.empty(len(checkpoints))
-    r = np.empty(len(checkpoints))
+    vals = np.empty((len(checkpoints), 3))
     for j, c in enumerate(checkpoints):
-        L[j], A[j], r[j] = geom2d.hull_functionals(positions[: c + 1])
-    return FunctionalSeries(tuple(checkpoints), L, A, r)
+        vals[j] = _functionals_from_vertices(geom2d.convex_hull(positions[: c + 1]).vertices)
+    return FunctionalSeries(tuple(checkpoints), vals[:, 0].copy(), vals[:, 1].copy(), vals[:, 2].copy())

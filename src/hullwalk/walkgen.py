@@ -345,7 +345,7 @@ MODEL_GRAMMAR = (
 
 
 def parse_model(spec: str):
-    """Parse a model specification string (see MODEL_GRAMMAR)."""
+    """Parse a model spec string (see MODEL_GRAMMAR); the inverse of ``spec_string``."""
     spec = spec.strip()
     name, _, argstr = spec.partition(":")
     name = name.strip().lower()
@@ -382,11 +382,6 @@ def parse_model(spec: str):
 def _expect_args(spec, args, allowed):
     if len(args) not in allowed:
         raise ValueError(f"bad argument count in model spec {spec!r}; grammar: {MODEL_GRAMMAR}")
-
-
-def format_model(model) -> str:
-    """Inverse of parse_model: parse_model(format_model(m)) == m."""
-    return model.spec_string()
 
 
 # ---------------------------------------------------------------------------

@@ -266,9 +266,7 @@ def test_runconfig_round_trip():
                     schedule="geometric:10,1.25")
     assert RunConfig.from_dict(cfg.to_dict()) == cfg
     model, sched = cfg.validate()
-    from hullwalk.walkgen import format_model
-
-    assert format_model(model) == cfg.model
+    assert model.spec_string() == cfg.model
     assert sched.spec_string() == cfg.schedule
 
 

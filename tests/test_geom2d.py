@@ -1,6 +1,7 @@
 """Geometry kernel: exact values, degenerate conventions, metric properties."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -138,6 +139,35 @@ def test_contains_near_float_limit():
     big = g.convex_hull([(1e200, 0.0), (0.0, 1e200), (-1e200, -1e200)])
     assert math.isclose(big.diameter, math.sqrt(5.0) * 1e200, rel_tol=1e-15)
     assert big.contains((0.0, 0.0)) and not big.contains((1e200, 1e200))
+
+
+NEAR_LIMIT_TRIANGLE = [(1e308, 1e308), (-1e308, -1e308), (1e308, -1e308)]
+
+
+def test_hull_near_float_limit_without_warnings():
+    # the box sides overflow; the chain must still run without float warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        poly = g.convex_hull(NEAR_LIMIT_TRIANGLE)
+    assert sorted(map(tuple, poly.vertices.tolist())) == sorted(NEAR_LIMIT_TRIANGLE)
+
+
+def test_functionals_near_float_limit():
+    poly = g.convex_hull(NEAR_LIMIT_TRIANGLE)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert g.dist_origin_to_boundary(poly) == 0.0  # the diagonal edge passes through it
+        assert g.perimeter(poly) == math.inf and g.area(poly) == math.inf
+
+
+def test_kernel_degenerate_cycles():
+    # a segment is walked there and back, a point is one zero-length edge
+    assert g._perimeter_area([[0.0, 0.0], [3.0, 4.0]]) == (10.0, 0.0)
+    assert g._perimeter_area([[2.0, 5.0]]) == (0.0, 0.0)
+    assert g._inradius([[-1.0, 1.0], [1.0, 1.0]]) == 1.0
+    assert g._inradius([[3.0, 4.0]]) == 5.0
+    assert g._hull([(1.0, 1.0), (1.0, 1.0)], 0.0) == [(1.0, 1.0)]
+    assert g._hull([(2.0, 0.0), (0.0, 0.0), (1.0, 0.0), (0.0, 0.0)], 0.0) == [(0.0, 0.0), (2.0, 0.0)]
 
 
 def test_perimeter_values():

@@ -202,6 +202,22 @@ def test_martingale_check_carries_enumeration_moments():
         assert chk.lhs == chk.moments.VarL
 
 
+# (EL, VarL, EA, martingale rhs), recorded from the enumeration before the hull
+# functionals moved to geom2d's kernel; the enumeration must reproduce every bit.
+PINNED_EXACT = {
+    ("lattice", 6): (6.670903358694325, 2.5178059017541656, 2.017578125, 2.517805901754189),
+    ("hex6", 5): (6.793764141028982, 3.046138474780257, 1.8425925925925926, 3.0461384747803573),
+}
+
+
+@pytest.mark.parametrize("spec, n", sorted(PINNED_EXACT))
+def test_exact_enumeration_bit_identical(spec, n):
+    model = w.parse_model(spec)
+    ex = mc.enumerate_exact(model, n)
+    chk = mc.martingale_decomposition_check(model, n)
+    assert (ex.EL, ex.VarL, ex.EA, chk.rhs) == PINNED_EXACT[spec, n]
+
+
 def test_martingale_single_step_trivial():
     # D_1 = L_1 - E L_1, so both sides are Var L_1 by construction
     chk = mc.martingale_decomposition_check(w.Hex6(), 1)

@@ -251,7 +251,7 @@ def test_center_of_mass_hull_contained_in_walk_hull():
 )
 def test_grammar_round_trip(spec):
     model = w.parse_model(spec)
-    assert w.parse_model(w.format_model(model)) == model
+    assert w.parse_model(model.spec_string()) == model
 
 
 @pytest.mark.parametrize("bad", ["", "walk", "pr:1", "gauss:1,2", "pareto", "lattice:3"])
