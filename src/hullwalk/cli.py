@@ -14,7 +14,6 @@ import json
 import math
 import sys
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import numpy as np
@@ -39,47 +38,14 @@ class NumericFailure(Exception):
     """NaN encountered in results (exit code 2)."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Round-trippable simulation configuration."""
+def _guard_work(label: str, work: int, budget: int = DEFAULT_BUDGET, force: bool | None = None):
+    """Refuse a run whose work exceeds the budget, before any sampling.
 
-    model: str
-    steps: int
-    replicates: int
-    seed: int
-    schedule: str
-    budget: int = DEFAULT_BUDGET
-    force: bool = False
-
-    def validate(self):
-        model = parse_model(self.model)  # raises ValueError on bad spec
-        sched = CheckpointSchedule.parse(self.schedule)
-        if self.steps < 0:
-            raise ConfigError(f"steps must be nonnegative, got {self.steps}")
-        if self.replicates < 2:
-            raise ConfigError(f"replicates must be >= 2, got {self.replicates}")
-        work = self.steps * self.replicates
-        if work > self.budget and not self.force:
-            raise ConfigError(
-                f"steps * replicates = {work} exceeds the budget guard {self.budget}; "
-                "pass --force to run anyway"
-            )
-        return model, sched
-
-    def to_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "steps": self.steps,
-            "replicates": self.replicates,
-            "seed": self.seed,
-            "schedule": self.schedule,
-            "budget": self.budget,
-            "force": self.force,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunConfig":
-        return cls(**d)
+    ``force`` is None for commands that have no --force option.
+    """
+    if work > budget and not force:
+        hint = "" if force is None else "; pass --force to run anyway"
+        raise ConfigError(f"{label} = {work} exceeds the budget guard {budget}{hint}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -156,17 +122,14 @@ def _fmt(x: float) -> str:
 
 
 def cmd_simulate(args) -> int:
-    cfg = RunConfig(
-        model=args.model,
-        steps=args.steps,
-        replicates=args.replicates,
-        seed=args.seed,
-        schedule=args.schedule,
-        budget=args.budget,
-        force=args.force,
-    )
-    model, sched = cfg.validate()
-    ests = montecarlo.estimate(model, cfg.steps, sched, cfg.replicates, cfg.seed)
+    model = parse_model(args.model)
+    sched = CheckpointSchedule.parse(args.schedule)
+    if args.steps < 0:
+        raise ConfigError(f"steps must be nonnegative, got {args.steps}")
+    if args.replicates < 2:
+        raise ConfigError(f"replicates must be >= 2, got {args.replicates}")
+    _guard_work("steps * replicates", args.steps * args.replicates, args.budget, args.force)
+    ests = montecarlo.estimate(model, args.steps, sched, args.replicates, args.seed)
     by_cp: dict[int, dict[str, montecarlo.MonteCarloEstimate]] = {}
     for e in ests:
         by_cp.setdefault(e.n, {})[e.statistic] = e
@@ -177,9 +140,9 @@ def cmd_simulate(args) -> int:
         f"# hullwalk simulate v{__version__}",
         f"# timestamp: {datetime.now(timezone.utc).isoformat()}",
         f"# model: {model.spec_string()}",
-        f"# seed: {cfg.seed}",
-        f"# steps: {cfg.steps}",
-        f"# replicates: {cfg.replicates}",
+        f"# seed: {args.seed}",
+        f"# steps: {args.steps}",
+        f"# replicates: {args.replicates}",
         f"# schedule: {sched.spec_string()}",
     ]
     if heavy:
@@ -221,12 +184,10 @@ def cmd_limits(args) -> int:
     out: dict = {"model": model.spec_string(), "norm_mu": mom.norm_mu}
     if mom.finite_variance:
         out.update(dict(limits.limit_constants(mom)))
-        vb = limits.variance_bounds(
-            trace_sigma=mom.sigma2, identity=mom.Sigma == ((1.0, 0.0), (0.0, 1.0))
-        )
-        out["u0_bounds"] = list(vb.u0)
-        out["v0_bounds"] = list(vb.v0)
-        out["v_plus_bounds"] = list(vb.v_plus)
+        identity = mom.Sigma == ((1.0, 0.0), (0.0, 1.0))
+        out["u0_bounds"] = list(limits.u0_bounds(mom.sigma2, identity=identity))
+        out["v0_bounds"] = list(limits.v0_bounds())
+        out["v_plus_bounds"] = list(limits.vplus_bounds())
         out["det_Sigma"] = mom.det_Sigma
         out["sigma2_perp"] = mom.sigma2_perp
     else:
@@ -239,6 +200,7 @@ def cmd_limits(args) -> int:
 
 def cmd_clt(args) -> int:
     model = parse_model(args.model)
+    _guard_work("steps * replicates", args.steps * args.replicates)
     try:
         result = montecarlo.clt_test(model, args.steps, args.replicates, args.seed)
     except HullwalkError as exc:
@@ -263,6 +225,7 @@ def cmd_clt(args) -> int:
 
 
 def cmd_constants(args) -> int:
+    _guard_work("grid * replicates", args.grid * args.replicates)
     ests = limits.brownian_constant_estimates(args.grid, args.replicates, args.seed)
     constants, bounds = limits.brownian_reference_values()
     report = limits.assemble_report(ests, constants, bounds)
@@ -318,62 +281,73 @@ def _read_simulate_csv(path: str) -> tuple[dict, list[dict]]:
                 continue
             if header is None:
                 header = line.split(",")
+                missing = [c for c in CSV_COLUMNS.split(",") if c not in header]
+                if missing:
+                    raise ConfigError(f"{path} lacks columns: {','.join(missing)}")
                 continue
             parts = line.split(",")
+            if len(parts) != len(header):
+                raise ConfigError(f"{path}: a data row has {len(parts)} fields, not {len(header)}")
             rows.append({k: float(v) for k, v in zip(header, parts)})
     if header is None or not rows:
         raise ConfigError(f"{path} contains no data rows")
     return meta, rows
 
 
+# One row per reported quantity: its name, the drift regime it belongs to
+# (None for both), the limits key holding its constant ("constant"), its
+# (low, high) bounds ("bounds") or an upper bound above 0 ("upper"), the CSV
+# value and standard-error columns, and its divisor at the final n.  A row
+# is read only when its key is present and its divisor is nonzero.
+_REPORT_ROWS = (
+    ("2norm_mu", True, "2norm_mu", "constant", "mean_L", "se_L", lambda lim, n: n),
+    ("4sigma2_mu", True, "4sigma2_mu", "constant", "var_L", "se_varL", lambda lim, n: n),
+    ("drift_area_coeff", True, "drift_area_coeff", "constant", "mean_A", "se_A",
+     lambda lim, n: n**1.5),
+    ("v_plus", True, "v_plus_bounds", "bounds", "var_A", "se_varA",
+     lambda lim, n: lim["norm_mu"] ** 2 * (lim.get("sigma2_perp") or 0.0) * n**3),
+    ("4E_norm_Y", False, "4E_norm_Y", "constant", "mean_L", "se_L", lambda lim, n: math.sqrt(n)),
+    ("pi_over_2_sqrt_det", False, "pi_over_2_sqrt_det", "constant", "mean_A", "se_A",
+     lambda lim, n: n),
+    # u0 bounds in limits JSON are already scaled to this model's trace.
+    ("u0_like", False, "u0_bounds", "bounds", "var_L", "se_varL", lambda lim, n: n),
+    ("v0", False, "v0_bounds", "bounds", "var_A", "se_varA",
+     lambda lim, n: (lim.get("det_Sigma") or 0.0) * n**2),
+    # Snyder-Steele: Var L_n <= (pi^2/2) sigma^2 n at every n.
+    ("ss_bound", None, "ss_bound", "upper", "var_L", "se_varL", lambda lim, n: n),
+)
+
+
 def cmd_report(args) -> int:
     meta, rows = _read_simulate_csv(args.csv_in)
     with open(args.limits_in) as fh:
         lim = json.load(fh)
+    if not isinstance(lim, dict):
+        raise ConfigError(f"{args.limits_in} does not hold a JSON object")
     final = rows[-1]
     n = final["n"]
     if n < 1:
         raise ConfigError("final checkpoint must be at least 1")
-    R = int(meta.get("replicates", "0")) or None
-
-    def mce(stat, value, se):
-        return montecarlo.MonteCarloEstimate(int(n), stat, value, se, R or 0)
-
-    estimates = {}
-    constants = {}
-    bounds = {}
-    drift = lim.get("norm_mu", 0.0) > 0.0
-    if drift:
-        estimates["2norm_mu"] = mce("meanL/n", final["mean_L"] / n, final["se_L"] / n)
-        constants["2norm_mu"] = lim["2norm_mu"]
-        if "4sigma2_mu" in lim:
-            estimates["4sigma2_mu"] = mce("varL/n", final["var_L"] / n, final["se_varL"] / n)
-            constants["4sigma2_mu"] = lim["4sigma2_mu"]
-        if "drift_area_coeff" in lim:
-            estimates["drift_area_coeff"] = mce(
-                "meanA/n^1.5", final["mean_A"] / n**1.5, final["se_A"] / n**1.5
-            )
-            constants["drift_area_coeff"] = lim["drift_area_coeff"]
-        if "v_plus_bounds" in lim and lim.get("sigma2_perp"):
-            scale = lim["norm_mu"] ** 2 * lim["sigma2_perp"] * n**3
-            estimates["v_plus"] = mce("varA/n^3", final["var_A"] / scale, final["se_varA"] / scale)
-            bounds["v_plus"] = tuple(lim["v_plus_bounds"])
-    else:
-        estimates["4E_norm_Y"] = mce(
-            "meanL/sqrt(n)", final["mean_L"] / math.sqrt(n), final["se_L"] / math.sqrt(n)
-        )
-        constants["4E_norm_Y"] = lim["4E_norm_Y"]
-        estimates["pi_over_2_sqrt_det"] = mce("meanA/n", final["mean_A"] / n, final["se_A"] / n)
-        constants["pi_over_2_sqrt_det"] = lim["pi_over_2_sqrt_det"]
-        if "u0_bounds" in lim:
-            # u0 bounds in limits JSON are already scaled to this model's trace.
-            estimates["u0_like"] = mce("varL/n", final["var_L"] / n, final["se_varL"] / n)
-            bounds["u0_like"] = tuple(lim["u0_bounds"])
-        if "v0_bounds" in lim and lim.get("det_Sigma"):
-            scale = lim["det_Sigma"] * n**2
-            estimates["v0"] = mce("varA/n^2", final["var_A"] / scale, final["se_varA"] / scale)
-            bounds["v0"] = tuple(lim["v0_bounds"])
-    report = limits.assemble_report(estimates, constants, bounds)
+    R = int(meta.get("replicates", "0"))
+    try:
+        drift = lim.get("norm_mu", 0.0) > 0.0
+        estimates, constants, bounds = {}, {}, {}
+        for q, regime, key, kind, value, se, divisor in _REPORT_ROWS:
+            if regime not in (None, drift) or key not in lim:
+                continue
+            d = divisor(lim, n)
+            if not d:
+                continue
+            estimates[q] = montecarlo.MonteCarloEstimate(int(n), q, final[value] / d, final[se] / d, R)
+            if kind == "constant":
+                constants[q] = lim[key]
+            else:
+                bounds[q] = tuple(lim[key]) if kind == "bounds" else (0.0, lim[key])
+        if not estimates:
+            raise ConfigError(f"{args.limits_in} holds no quantity to report for this model")
+        report = limits.assemble_report(estimates, constants, bounds)
+    except TypeError as exc:
+        raise ConfigError(f"{args.limits_in} holds a value of the wrong type: {exc}") from exc
     out = {
         "source": args.csv_in,
         "limits": args.limits_in,

@@ -36,25 +36,6 @@ class Degeneracy(Enum):
     FULL_DIM = "full_dim"
 
 
-@dataclass(frozen=True)
-class Vec2:
-    """A point or vector in the plane with finite coordinates."""
-
-    x: float
-    y: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"Vec2 coordinates must be finite, got ({self.x}, {self.y})")
-
-    def __iter__(self):
-        yield self.x
-        yield self.y
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y], dtype=float)
-
-
 def _points_array(points) -> np.ndarray:
     """Normalize a point collection to a finite float array of shape (m, 2)."""
     if isinstance(points, np.ndarray):
@@ -184,15 +165,34 @@ def _perimeter_area(hull: list) -> tuple[float, float]:
     return L, 0.5 * abs(A2)
 
 
+# A float distance below this fraction of its edge's length may be rounding
+# of an exact zero; far above the few ulps the projection can lose.
+_ON_EDGE_RTOL = 2.0**-40
+
+
 def _inradius(hull: list) -> float:
-    """Distance from the origin to the closed vertex cycle ``hull`` of (x, y) pairs."""
+    """Distance from the origin to the closed vertex cycle ``hull`` of (x, y) pairs.
+
+    Exactly 0 when the origin lies on an edge: a new minimum within rounding
+    of zero is decided by ``_origin_on_edge``.
+    """
     r = math.inf
     for (x0, y0), (x1, y1) in zip(hull, hull[1:] + hull[:1]):
         dx, dy = x1 - x0, y1 - y0
         d2 = dx * dx + dy * dy
         t = min(1.0, max(0.0, -(x0 * dx + y0 * dy) / d2)) if d2 else 0.0
-        r = min(r, math.hypot(x0 + t * dx, y0 + t * dy))
+        h = math.hypot(x0 + t * dx, y0 + t * dy)
+        if h < r:
+            if h <= _ON_EDGE_RTOL * math.hypot(dx, dy) and _origin_on_edge(x0, y0, x1, y1):
+                return 0.0
+            r = h
     return r
+
+
+def _origin_on_edge(x0: float, y0: float, x1: float, y1: float) -> bool:
+    """Whether the origin lies on the segment (x0, y0)-(x1, y1), in exact arithmetic."""
+    in_box = min(x0, x1) <= 0.0 <= max(x0, x1) and min(y0, y1) <= 0.0 <= max(y0, y1)
+    return in_box and orient2d((x0, y0), (x1, y1), (0.0, 0.0)) == 0
 
 
 @dataclass(frozen=True)

@@ -132,7 +132,6 @@ def _prefilter(points: np.ndarray) -> np.ndarray:
     """
     proj = points @ _OCTANT_DIRS.T
     corners = points[np.argmax(proj, axis=0)]
-    keep = np.zeros(len(points), dtype=bool)
     scale = float(np.abs(corners).max(initial=0.0))
     tol = 1e-9 * scale * scale
     inside = np.ones(len(points), dtype=bool)

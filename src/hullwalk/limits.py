@@ -197,15 +197,6 @@ def limit_constants(mom: MomentSummary) -> list[tuple[str, float]]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VarianceBounds:
-    """(lower, upper) bounds for u0(Sigma), v0 and v_plus."""
-
-    u0: tuple[float, float]
-    v0: tuple[float, float]
-    v_plus: tuple[float, float]
-
-
 def u0_bounds(trace_sigma: float, identity: bool = False) -> tuple[float, float]:
     """Bounds on u0(Sigma) = Var L(Sigma^(1/2) h_1) in terms of trace Sigma.
 
@@ -236,15 +227,6 @@ def vplus_bounds() -> tuple[float, float]:
     lower = (2.0 / 225.0) * (math.exp(-25.0 * math.pi / 9.0) - math.exp(-25.0 * math.pi) / 3.0)
     upper = 4.0 * math.log(2.0) - 2.0 * math.pi / 9.0
     return lower, upper
-
-
-def variance_bounds(trace_sigma: float = 2.0, identity: bool = True) -> VarianceBounds:
-    """All three variance-constant bounds in one record."""
-    return VarianceBounds(
-        u0=u0_bounds(trace_sigma, identity=identity),
-        v0=v0_bounds(),
-        v_plus=vplus_bounds(),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from hullwalk import cli
-from hullwalk.cli import RunConfig, main
+from hullwalk.cli import main
 
 
 def _strip_timestamp(text: str) -> str:
@@ -62,7 +62,6 @@ def test_simulate_rejects_bad_covariance(capsys):
 
 
 def test_simulate_budget_guard(tmp_path):
-    args = ["simulate", "--model", "lattice", "--steps", "10**5", "--replicates", "10"]
     assert main(["simulate", "--model", "lattice", "--steps", "1000000", "--replicates", "100000",
                  "--out", str(tmp_path / "x.csv")]) == 1
     small = ["simulate", "--model", "lattice", "--steps", "100", "--replicates", "10",
@@ -167,6 +166,31 @@ def test_clt_samples_once(monkeypatch, tmp_path):
     assert len(calls) == 1
 
 
+def _forbid(monkeypatch, module, name):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{name} ran past the budget guard")
+
+    monkeypatch.setattr(module, name, fail)
+
+
+def _assert_one_error_line(capsys, text):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert text in err
+
+
+def test_clt_budget_guard_before_sampling(monkeypatch, capsys):
+    _forbid(monkeypatch, cli.montecarlo, "collect_samples")
+    assert main(["clt", "--steps", "1000000", "--replicates", "100000"]) == 1
+    _assert_one_error_line(capsys, "steps * replicates = 100000000000 exceeds the budget guard")
+
+
+def test_constants_budget_guard_before_sampling(monkeypatch, capsys):
+    _forbid(monkeypatch, cli.limits, "_brownian_block")
+    assert main(["constants", "--grid", "1000000000", "--replicates", "100"]) == 1
+    _assert_one_error_line(capsys, "grid * replicates = 100000000000 exceeds the budget guard")
+
+
 # ---------------------------------------------------------------------------
 # exact / constants
 # ---------------------------------------------------------------------------
@@ -251,6 +275,71 @@ def test_report_pipeline(tmp_path, model):
     assert all(row["verdict"] != "violated" for row in rep["report"])
 
 
+def _report(tmp_path, lim_args, sim_args=("--model", "pr:0.2,0")):
+    csv_p, lim_p, rep_p = tmp_path / "r.csv", tmp_path / "l.json", tmp_path / "rep.json"
+    assert main(["simulate", *sim_args, "--steps", "1000", "--replicates", "100", "--seed", "4",
+                 "--out", str(csv_p)]) == 0
+    assert main(["limits", *lim_args, "--out", str(lim_p)]) == 0
+    return csv_p, lim_p, rep_p
+
+
+def test_report_snyder_steele_row(tmp_path):
+    csv_p, lim_p, rep_p = _report(tmp_path, ["--model", "pr:0.2,0"])
+    assert main(["report", "--in", str(csv_p), "--limits", str(lim_p), "--out", str(rep_p)]) == 0
+    row = json.loads(rep_p.read_text())["report"][-1]
+    ss = json.loads(lim_p.read_text())["ss_bound"]
+    assert (row["quantity"], row["bound_low"], row["bound_high"]) == ("ss_bound", 0.0, ss)
+    assert row["verdict"] == "consistent"
+    # inflate the final Var L_n past the bound
+    lines = csv_p.read_text().splitlines()
+    cols = lines[-1].split(",")
+    cols[3] = repr(10.0 * ss * float(cols[0]))
+    csv_p.write_text("\n".join(lines[:-1] + [",".join(cols)]) + "\n")
+    assert main(["report", "--in", str(csv_p), "--limits", str(lim_p), "--out", str(rep_p)]) == 0
+    row = json.loads(rep_p.read_text())["report"][-1]
+    assert (row["quantity"], row["verdict"]) == ("ss_bound", "violated")
+
+
+def test_report_heavy_tail(tmp_path, capsys):
+    # zero drift: no row applies; drift: the 2|mu| row alone
+    csv_p, lim_p, rep_p = _report(tmp_path, ["--model", "pareto:1.5", "--allow-heavy"],
+                                  ("--model", "pareto:1.5"))
+    assert main(["report", "--in", str(csv_p), "--limits", str(lim_p)]) == 1
+    _assert_one_error_line(capsys, "no quantity")
+    csv_p, lim_p, rep_p = _report(tmp_path, ["--model", "pareto:1.5,1,0", "--allow-heavy"],
+                                  ("--model", "pareto:1.5,1,0"))
+    assert main(["report", "--in", str(csv_p), "--limits", str(lim_p), "--out", str(rep_p)]) == 0
+    assert [r["quantity"] for r in json.loads(rep_p.read_text())["report"]] == ["2norm_mu"]
+
+
+def test_report_malformed_inputs_exit_one(tmp_path, capsys):
+    csv_p, lim_p, _ = _report(tmp_path, ["--model", "pr"], ("--model", "pr"))
+    not_object = tmp_path / "list.json"
+    not_object.write_text("[1, 2]\n")
+    assert main(["report", "--in", str(csv_p), "--limits", str(not_object)]) == 1
+    _assert_one_error_line(capsys, "JSON object")
+    wrong_type = tmp_path / "str.json"
+    wrong_type.write_text('{"norm_mu": "0.4"}\n')
+    assert main(["report", "--in", str(csv_p), "--limits", str(wrong_type)]) == 1
+    _assert_one_error_line(capsys, "wrong type")
+    # drop the se_L column from the header and from every row
+    lines = [l if l.startswith("#") else ",".join(l.split(",")[:2] + l.split(",")[3:])
+             for l in csv_p.read_text().splitlines()]
+    no_se = tmp_path / "no_se.csv"
+    no_se.write_text("\n".join(lines) + "\n")
+    assert main(["report", "--in", str(no_se), "--limits", str(lim_p)]) == 1
+    _assert_one_error_line(capsys, "se_L")
+
+
+def test_inradius_exact_zero_on_flat_walk(tmp_path):
+    # a walk on the x axis: its hull is a segment through the origin, so r = 0
+    out = tmp_path / "flat.csv"
+    assert main(["simulate", "--model", "gauss:1,0,0", "--steps", "30", "--replicates", "2",
+                 "--out", str(out)]) == 0
+    _, rows = cli._read_simulate_csv(str(out))
+    assert [row["mean_r"] for row in rows] == [0.0] * len(rows)
+
+
 def test_csv_round_trip_parse(tmp_path):
     csv_p = tmp_path / "r.csv"
     main(["simulate", "--model", "hex6", "--steps", "200", "--replicates", "40",
@@ -259,15 +348,6 @@ def test_csv_round_trip_parse(tmp_path):
     assert meta["model"] == "hex6"
     assert int(meta["replicates"]) == 40
     assert rows[-1]["n"] == 200.0
-
-
-def test_runconfig_round_trip():
-    cfg = RunConfig(model="pr:0.2,0", steps=100, replicates=10, seed=1,
-                    schedule="geometric:10,1.25")
-    assert RunConfig.from_dict(cfg.to_dict()) == cfg
-    model, sched = cfg.validate()
-    assert model.spec_string() == cfg.model
-    assert sched.spec_string() == cfg.schedule
 
 
 def test_unknown_subcommand_is_config_error():

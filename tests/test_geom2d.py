@@ -166,8 +166,20 @@ def test_kernel_degenerate_cycles():
     assert g._perimeter_area([[2.0, 5.0]]) == (0.0, 0.0)
     assert g._inradius([[-1.0, 1.0], [1.0, 1.0]]) == 1.0
     assert g._inradius([[3.0, 4.0]]) == 5.0
+    assert g._inradius([[0.0, 0.0]]) == 0.0
     assert g._hull([(1.0, 1.0), (1.0, 1.0)], 0.0) == [(1.0, 1.0)]
     assert g._hull([(2.0, 0.0), (0.0, 0.0), (1.0, 0.0), (0.0, 0.0)], 0.0) == [(0.0, 0.0), (2.0, 0.0)]
+
+
+def test_inradius_zero_on_edge_through_origin():
+    # the float projection of the origin onto these edges rounds to about 1e-17
+    seg = [[-0.1, -0.3], [0.2, 0.6]]
+    assert g._inradius(seg) == 0.0
+    assert g._inradius(seg + [[-1.0, 1.0]]) == 0.0
+    assert g.dist_origin_to_boundary(g.convex_hull(seg)) == 0.0
+    # an edge that misses the origin by two ulps keeps its float distance
+    near = [[-0.1, -0.3], [0.2, math.nextafter(math.nextafter(0.6, 1.0), 1.0)]]
+    assert 0.0 < g._inradius(near) < 1e-16
 
 
 def test_perimeter_values():
@@ -325,15 +337,6 @@ def test_steiner_area_values():
 # ---------------------------------------------------------------------------
 # types
 # ---------------------------------------------------------------------------
-
-
-def test_vec2_requires_finite():
-    with pytest.raises(ValueError):
-        g.Vec2(float("nan"), 0.0)
-    with pytest.raises(ValueError):
-        g.Vec2(0.0, float("inf"))
-    v = g.Vec2(1.5, -2.0)
-    assert tuple(v) == (1.5, -2.0)
 
 
 def test_polygon_invariants():

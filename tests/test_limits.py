@@ -179,10 +179,7 @@ def test_variance_bounds_numeric():
     lop, hip = lm.vplus_bounds()
     assert abs(lop - 1.44e-6) < 2e-8
     assert abs(hip - (4 * math.log(2) - 2 * math.pi / 9)) < 1e-12 and abs(hip - 2.08) < 6e-3
-    vb = lm.variance_bounds(2.0, identity=True)
-    assert vb.u0 == (lo, hi) and vb.v0 == (lo0, hi0) and vb.v_plus == (lop, hip)
-    for low, _ in (vb.u0, vb.v0, vb.v_plus):
-        assert low > 0.0
+    assert min(lo, lo0, lop) > 0.0
     with pytest.raises(ValueError):
         lm.u0_bounds(-1.0)
 
