@@ -18,10 +18,11 @@ for spec in SPECS:
         f"{fmt(m.sigma2_mu):>6} | {fmt(m.sigma2_perp):>7} | {fmt(m.det_Sigma):>6}"
     )
 
-# Reproducibility: a stream is its (master_seed, stream_index) pair.
+# Reproducibility: a stream is its (master_seed, stream_index) pair, and a
+# path is an (n+1, 2) positions array drawn from the stream's generator.
 model = parse_model("pr:0.2,0")
-a = sample_path(model, 5, RngStream(2024, 1)).positions
-b = sample_path(model, 5, RngStream(2024, 1)).positions
+a = sample_path(model, 5, RngStream(2024, 1).generator())
+b = sample_path(model, 5, RngStream(2024, 1).generator())
 print("\nsame stream, same path:", np.array_equal(a, b))
 
 # Empirical moments of a large sample against the closed forms.
@@ -30,7 +31,7 @@ print("hex6 sampled mean:", inc.mean(axis=0).round(4).tolist(), " (analytic (0, 
 print("hex6 sampled cov :", np.cov(inc.T).round(4).tolist(), " (analytic [[2/3, -1/3], [-1/3, 2/3]])")
 
 # A walk's hull functionals along the path, at geometric checkpoints.
-path = sample_path(model, 20_000, RngStream(11, 0))
+path = sample_path(model, 20_000, RngStream(11, 0).generator())
 series = functional_series(path, CheckpointSchedule.geometric(100, 2.0))
 print("\n n      L_n        A_n       r_n")
 for n, L, A, r in zip(series.checkpoints, series.L, series.A, series.r):

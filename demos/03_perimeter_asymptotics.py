@@ -4,7 +4,7 @@ Spitzer-Widom gives E L_n exactly from the norm means E|S_k|; the limits are
 2|mu| n under drift and 4 E|Y| sqrt(n) without, and n^(-1) Var L_n tends to
 4 sigma2_mu for drifted walks along with a Gaussian limit law.
 
-Run:  python3 demos/03_perimeter_asymptotics.py   (about a minute)
+Run:  python3 demos/03_perimeter_asymptotics.py   (about 5 s on two cores)
 """
 
 import math

@@ -6,8 +6,8 @@ motion has expected area sqrt(2 pi)/3; the squared range of the line motion
 has mean 4 log 2.  Their variances have rigorous (wide) bounds, and the
 perimeter variance can be pinned down by the Rogers-Shepp double integral.
 
-Run:  python3 demos/05_brownian_constants.py   (about a minute; shrink
-      --replicates via the variables below for a quick look)
+Run:  python3 demos/05_brownian_constants.py   (about 15 s on two cores; shrink
+      the replicate count in the variables below for a quick look)
 """
 
 import math

@@ -10,6 +10,7 @@ processes (at most one per CPU) without changing any output.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -348,6 +349,9 @@ def cmd_report(args) -> int:
         report = limits.assemble_report(estimates, constants, bounds)
     except TypeError as exc:
         raise ConfigError(f"{args.limits_in} holds a value of the wrong type: {exc}") from exc
+    if meta.get("heavy_tail") == "true" or lim.get("heavy_tail") is True:
+        # the standard errors estimate an infinite variance, so no verdict holds
+        report = [dataclasses.replace(r, verdict="untested") for r in report]
     out = {
         "source": args.csv_in,
         "limits": args.limits_in,

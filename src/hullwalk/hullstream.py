@@ -24,7 +24,6 @@ from scipy.spatial import QhullError as _QhullError
 
 from . import geom2d
 from .errors import ScheduleOutOfRangeError
-from .walkgen import WalkPath
 
 DEFAULT_GEOMETRIC_START = 10
 DEFAULT_GEOMETRIC_RATIO = 1.25
@@ -37,42 +36,53 @@ _OCTANT_DIRS = np.array(
 )
 
 
-@dataclass(frozen=True)
 class CheckpointSchedule:
     """Strictly increasing step counts at which functionals are reported.
 
-    ``Geometric(start, ratio)`` grows multiplicatively from ``start`` and
-    always ends at the path length; ``Explicit(values)`` is taken verbatim.
+    ``geometric(start, ratio)`` grows multiplicatively from ``start`` and
+    always ends at the path length; ``explicit(values)`` is taken verbatim.
+    Each is a frozen dataclass holding only its own parameters, so equal
+    schedules compare equal.
     """
 
-    kind: str  # "geometric" or "explicit"
-    start: int = DEFAULT_GEOMETRIC_START
-    ratio: float = DEFAULT_GEOMETRIC_RATIO
-    values: tuple[int, ...] = ()
-
-    @classmethod
-    def geometric(cls, start: int = DEFAULT_GEOMETRIC_START, ratio: float = DEFAULT_GEOMETRIC_RATIO):
+    @staticmethod
+    def geometric(start: int = DEFAULT_GEOMETRIC_START, ratio: float = DEFAULT_GEOMETRIC_RATIO):
         if start < 0 or not ratio > 1.0:
             raise ValueError(f"need start >= 0 and ratio > 1, got ({start}, {ratio})")
-        return cls(kind="geometric", start=start, ratio=ratio)
+        return _Geometric(start, ratio)
 
-    @classmethod
-    def explicit(cls, values):
+    @staticmethod
+    def explicit(values):
         vals = tuple(int(v) for v in values)
         if any(b <= a for a, b in zip(vals, vals[1:])):
             raise ValueError(f"checkpoints must be strictly increasing, got {vals}")
         if vals and vals[0] < 0:
             raise ValueError("checkpoints must be nonnegative")
-        return cls(kind="explicit", values=vals)
+        return _Explicit(vals)
+
+    @staticmethod
+    def parse(spec: str) -> "CheckpointSchedule":
+        """The inverse of ``spec_string``: geometric[:start,ratio] or explicit:c1,c2,..."""
+        name, _, argstr = spec.strip().partition(":")
+        name = name.strip().lower()
+        toks = argstr.split(",") if argstr else []
+        try:
+            if name == "geometric" and len(toks) in (0, 2):
+                return CheckpointSchedule.geometric(*(f(t) for f, t in zip((int, float), toks)))
+            if name == "explicit":
+                return CheckpointSchedule.explicit(int(t) for t in toks if t.strip())
+        except ValueError as exc:
+            raise ValueError(f"bad schedule spec {spec!r}: {exc}") from None
+        raise ValueError(f"bad schedule spec {spec!r}; expected geometric[:start,ratio] or explicit:c1,...")
+
+
+@dataclass(frozen=True)
+class _Geometric(CheckpointSchedule):
+    start: int
+    ratio: float
 
     def resolve(self, n_steps: int) -> list[int]:
         """Concrete checkpoint list for a path of ``n_steps`` steps."""
-        if self.kind == "explicit":
-            if self.values and self.values[-1] > n_steps:
-                raise ScheduleOutOfRangeError(
-                    f"checkpoint {self.values[-1]} exceeds path length {n_steps}"
-                )
-            return list(self.values)
         out = []
         c = self.start
         while c < n_steps:
@@ -83,22 +93,21 @@ class CheckpointSchedule:
         return out
 
     def spec_string(self) -> str:
-        if self.kind == "explicit":
-            return "explicit:" + ",".join(str(v) for v in self.values)
         return f"geometric:{self.start},{self.ratio:g}"
 
-    @classmethod
-    def parse(cls, spec: str) -> "CheckpointSchedule":
-        name, _, argstr = spec.strip().partition(":")
-        name = name.strip().lower()
-        if name == "geometric":
-            if argstr:
-                start_s, ratio_s = argstr.split(",")
-                return cls.geometric(int(start_s), float(ratio_s))
-            return cls.geometric()
-        if name == "explicit":
-            return cls.explicit(int(tok) for tok in argstr.split(",") if tok.strip())
-        raise ValueError(f"unknown schedule spec {spec!r}")
+
+@dataclass(frozen=True)
+class _Explicit(CheckpointSchedule):
+    values: tuple[int, ...]
+
+    def resolve(self, n_steps: int) -> list[int]:
+        """The checkpoints themselves, which must not exceed ``n_steps``."""
+        if self.values and self.values[-1] > n_steps:
+            raise ScheduleOutOfRangeError(f"checkpoint {self.values[-1]} exceeds path length {n_steps}")
+        return list(self.values)
+
+    def spec_string(self) -> str:
+        return "explicit:" + ",".join(str(v) for v in self.values)
 
 
 @dataclass(frozen=True)
@@ -189,25 +198,19 @@ def _series_arrays(positions: np.ndarray, checkpoints: list[int]) -> np.ndarray:
     return out
 
 
-def _positions(path) -> np.ndarray:
-    return path.positions if isinstance(path, WalkPath) else np.asarray(path, dtype=float)
-
-
-def functional_series(path, sched: CheckpointSchedule) -> FunctionalSeries:
-    """Hull functionals along the path at the scheduled checkpoints.
+def functional_series(positions: np.ndarray, sched: CheckpointSchedule) -> FunctionalSeries:
+    """Hull functionals along the (n+1, 2) positions at the scheduled checkpoints.
 
     Raises:
         ScheduleOutOfRangeError: if a checkpoint exceeds the path length.
     """
-    positions = _positions(path)
     checkpoints = sched.resolve(len(positions) - 1)
     vals = _series_arrays(positions, checkpoints)
     return FunctionalSeries(tuple(checkpoints), vals[:, 0].copy(), vals[:, 1].copy(), vals[:, 2].copy())
 
 
-def batch_series(path, sched: CheckpointSchedule) -> FunctionalSeries:
+def batch_series(positions: np.ndarray, sched: CheckpointSchedule) -> FunctionalSeries:
     """Reference implementation: hull from scratch at every checkpoint."""
-    positions = _positions(path)
     checkpoints = sched.resolve(len(positions) - 1)
     vals = np.empty((len(checkpoints), 3))
     for j, c in enumerate(checkpoints):

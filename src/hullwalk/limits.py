@@ -31,9 +31,11 @@ from .walkgen import (
     DEFAULT_BROWNIAN_GRID,
     MomentSummary,
     RngStream,
+    SpacetimeGaussian,
     bridge_path,
     brownian_path,
     psd_sqrt,
+    sample_path,
 )
 
 
@@ -323,26 +325,20 @@ def goldman_bridge_variance() -> float:
 
 def _brownian_block(lo: int, hi: int, grid_n: int, master_seed: int) -> np.ndarray:
     identity = np.eye(2)
-    inv = 1.0 / math.sqrt(grid_n)
-    t_grid = np.arange(grid_n + 1) / grid_n
     out = np.empty((hi - lo, 5))
     for i in range(lo, hi):
         g = RngStream(master_seed, i).generator()
 
-        pos = brownian_path(identity, grid_n, g).positions
-        l1, a1, _ = _functionals_from_vertices(hull_vertices(pos))
+        l1, a1, _ = _functionals_from_vertices(hull_vertices(brownian_path(identity, grid_n, g)))
 
         # the space-time path (t, w(t)) of a line Brownian motion
-        w = np.cumsum(g.standard_normal(grid_n) * inv)
-        st = np.empty((grid_n + 1, 2))
-        st[:, 0] = t_grid
-        st[0, 1] = 0.0
-        st[1:, 1] = w
+        st = sample_path(SpacetimeGaussian(), grid_n, g)
+        st[:, 0] /= grid_n
+        st[:, 1] /= math.sqrt(grid_n)
         _, at1, _ = _functionals_from_vertices(hull_vertices(st))
-        w_range = max(w.max(), 0.0) - min(w.min(), 0.0)
+        w_range = st[:, 1].max() - st[:, 1].min()
 
-        br = bridge_path(grid_n, g).positions
-        lb, _, _ = _functionals_from_vertices(hull_vertices(br))
+        lb, _, _ = _functionals_from_vertices(hull_vertices(bridge_path(grid_n, g)))
 
         out[i - lo] = (l1, a1, at1, w_range * w_range, lb)
     return out

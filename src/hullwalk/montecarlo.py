@@ -100,8 +100,8 @@ def _series_block(lo: int, hi: int, model, n: int, checkpoints: tuple, master_se
     out = np.empty((hi - lo, len(checkpoints), 3))
     cps = list(checkpoints)
     for i in range(lo, hi):
-        path = sample_path(model, n, RngStream(master_seed, i))
-        out[i - lo] = _series_arrays(path.positions, cps)
+        path = sample_path(model, n, RngStream(master_seed, i).generator())
+        out[i - lo] = _series_arrays(path, cps)
     return out
 
 
@@ -157,8 +157,8 @@ _FUNCTIONAL_COLUMN = {"L": 0, "A": 1, "r": 2}
 def _terminal_block(lo: int, hi: int, model, n: int, column: int, master_seed: int) -> np.ndarray:
     out = np.empty(hi - lo)
     for i in range(lo, hi):
-        path = sample_path(model, n, RngStream(master_seed, i))
-        out[i - lo] = _series_arrays(path.positions, [n])[0, column]
+        path = sample_path(model, n, RngStream(master_seed, i).generator())
+        out[i - lo] = _series_arrays(path, [n])[0, column]
     return out
 
 
@@ -176,8 +176,7 @@ def _norm_block(lo: int, hi: int, model, ks: tuple, master_seed: int) -> np.ndar
     n = int(idx.max())
     out = np.empty((hi - lo, len(idx)))
     for i in range(lo, hi):
-        pos = sample_path(model, n, RngStream(master_seed, i)).positions
-        sel = pos[idx]
+        sel = sample_path(model, n, RngStream(master_seed, i).generator())[idx]
         out[i - lo] = np.hypot(sel[:, 0], sel[:, 1])
     return out
 
@@ -246,10 +245,13 @@ def clt_test(model, n: int, replicates: int, master_seed: int) -> CltResult:
     KS level.  The result carries the standardized samples.
 
     Raises:
+        ValueError: if n < 1, before any sampling.
         ZeroDriftError: if the model has zero mean increment.
         DegenerateDriftError: if fluctuations along the drift vanish
             (sigma2_mu = 0), where the Gaussian limit fails.
     """
+    if n < 1:
+        raise ValueError(f"the CLT check needs n >= 1 steps, got {n}")
     mom = model.moments()
     if mom.norm_mu == 0.0:
         raise ZeroDriftError("the Gaussian perimeter limit needs a drift")

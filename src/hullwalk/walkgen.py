@@ -2,10 +2,14 @@
 
 Each model carries its analytic moments (mean drift, covariance, the variance
 split along and across the drift direction) next to a vectorized sampler, so
-simulations can always be checked against closed forms.  Randomness comes
-from counter-based Philox streams keyed by (master_seed, stream_index):
-identical keys reproduce identical paths no matter how work is scheduled
-across processes.
+simulations can always be checked against closed forms.
+
+Every path is an (n+1, 2) positions array starting at the origin, drawn by
+``sample_path(model, n, rng)`` from a numpy Generator; the Brownian motion and
+bridge are Gaussian walks drawn the same way and then scaled.  Randomness
+comes from counter-based Philox streams keyed by (master_seed, stream_index):
+``RngStream(seed, i).generator()`` reproduces replicate i's draws no matter
+how work is scheduled across processes.
 """
 
 from __future__ import annotations
@@ -226,8 +230,10 @@ class Gaussian:
         return _split_moments(np.asarray(self.mean, dtype=float), np.array(self.cov, dtype=float))
 
     def sample_increments(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        z = rng.standard_normal((n, 2))
-        return z @ self._sqrt + np.asarray(self.mean, dtype=float)
+        out = rng.standard_normal((n, 2)) @ self._sqrt
+        out[:, 0] += self.mean[0]  # per column: a broadcast over width 2 is slow
+        out[:, 1] += self.mean[1]
+        return out
 
     def support(self):
         raise NotFiniteSupportError("Gaussian steps have continuous support")
@@ -389,79 +395,49 @@ def _expect_args(spec, args, allowed):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WalkPath:
-    """Positions S_0 = 0, S_1, ..., S_n of a walk, as an (n+1, 2) array."""
+def sample_path(model, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Positions S_0 = 0, S_1, ..., S_n of an n-step walk, as an (n+1, 2) array.
 
-    positions: np.ndarray
-
-    def __post_init__(self):
-        pos = np.asarray(self.positions, dtype=float)
-        if pos.ndim != 2 or pos.shape[1] != 2 or pos.shape[0] < 1:
-            raise ValueError(f"positions must have shape (n+1, 2), got {pos.shape}")
-        if pos[0, 0] != 0.0 or pos[0, 1] != 0.0:
-            raise ValueError("paths must start at the origin")
-        pos.setflags(write=False)
-        object.__setattr__(self, "positions", pos)
-
-    @property
-    def n_steps(self) -> int:
-        return len(self.positions) - 1
-
-
-def _cumsum_path(increments: np.ndarray) -> WalkPath:
-    n = len(increments)
-    pos = np.empty((n + 1, 2))
-    pos[0] = 0.0
-    np.cumsum(increments, axis=0, out=pos[1:])
-    return WalkPath(pos)
-
-
-def sample_path(model, n: int, stream: RngStream) -> WalkPath:
-    """Walk of n steps under the given model, deterministic in (model, n, stream)."""
+    The steps are ``model.sample_increments(n, rng)``; their partial sums
+    fill one preallocated array, so a path costs one array of its size plus
+    the draws, which sets the peak memory of ``constants``.
+    """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    if n == 0:
-        return WalkPath(np.zeros((1, 2)))
-    return _cumsum_path(model.sample_increments(n, stream.generator()))
-
-
-def _brownian_positions(cov, grid_n: int, rng: np.random.Generator) -> np.ndarray:
-    """brownian_path's positions as a writable array, which bridge_path pins in place.
-
-    Both samplers fill one preallocated array, so a path costs one array of
-    its size plus the draws; that sets the peak memory of ``constants``.
-    """
-    if grid_n < 1:
-        raise ValueError(f"grid_n must be >= 1, got {grid_n}")
-    root = psd_sqrt(np.asarray(cov, dtype=float)) / math.sqrt(grid_n)
-    pos = np.empty((grid_n + 1, 2))
+    pos = np.empty((n + 1, 2))
     pos[0] = 0.0
-    np.matmul(rng.standard_normal((grid_n, 2)), root, out=pos[1:])
-    np.cumsum(pos[1:], axis=0, out=pos[1:])
+    np.cumsum(model.sample_increments(n, rng), axis=0, out=pos[1:])
     return pos
 
 
-def brownian_path(cov, grid_n: int, rng: np.random.Generator) -> WalkPath:
+def brownian_path(cov, grid_n: int, rng: np.random.Generator) -> np.ndarray:
     """Discretized correlated Brownian motion on [0, 1].
 
-    Positions are partial sums of N(0, cov / grid_n) steps, approximating
-    sqrt(cov) b(k / grid_n).  Draws grid_n standard normal pairs from ``rng``.
+    The Gaussian walk with covariance ``cov``, scaled by 1/sqrt(grid_n), so
+    its positions approximate sqrt(cov) b(k / grid_n).  Draws grid_n standard
+    normal pairs from ``rng``.
 
     Raises:
         NotPSDError: if ``cov`` is not symmetric positive semidefinite.
     """
-    return WalkPath(_brownian_positions(cov, grid_n, rng))
+    if grid_n < 1:
+        raise ValueError(f"grid_n must be >= 1, got {grid_n}")
+    pos = sample_path(Gaussian(cov=cov), grid_n, rng)
+    pos /= math.sqrt(grid_n)
+    return pos
 
 
-def bridge_path(grid_n: int, rng: np.random.Generator) -> WalkPath:
+def bridge_path(grid_n: int, rng: np.random.Generator) -> np.ndarray:
     """Standard planar Brownian bridge on [0, 1]: b(t) - t b(1) on a grid.
 
-    b is ``brownian_path(I, grid_n, rng)``, so the bridge makes the same draws.
+    b is ``brownian_path(I, grid_n, rng)``, pinned in place, so the bridge
+    makes the same draws.
     """
-    pos = _brownian_positions(np.eye(2), grid_n, rng)
-    pos -= np.arange(grid_n + 1)[:, None] / grid_n * pos[-1]
-    return WalkPath(pos)
+    pos = brownian_path(np.eye(2), grid_n, rng)
+    t = np.arange(grid_n + 1) / grid_n
+    pos[:, 0] -= t * pos[-1, 0]
+    pos[:, 1] -= t * pos[-1, 1]
+    return pos
 
 
 def psi_scaling(p, mu, sigma2_perp: float, n: int):
@@ -495,12 +471,10 @@ def psi_scaling(p, mu, sigma2_perp: float, n: int):
     return out
 
 
-def center_of_mass(path: WalkPath) -> WalkPath:
+def center_of_mass(positions: np.ndarray) -> np.ndarray:
     """Running centre of mass G_k = (S_1 + ... + S_k) / k, with G_0 = 0."""
-    pos = path.positions
-    n = len(pos) - 1
-    out = np.zeros_like(pos)
+    out = np.zeros_like(positions)
+    n = len(positions) - 1
     if n >= 1:
-        sums = np.cumsum(pos[1:], axis=0)
-        out[1:] = sums / np.arange(1, n + 1)[:, None]
-    return WalkPath(out)
+        out[1:] = np.cumsum(positions[1:], axis=0) / np.arange(1, n + 1)[:, None]
+    return out

@@ -310,7 +310,7 @@ def test_acceptance_11_property_suites(monkeypatch):
     for spec in ("lattice", "hex6", "pr", "pr:0.2,0", "gauss", "st-binary", "st-gauss", "pareto:1.5"):
         model = w.parse_model(spec)
         for i in range(5):
-            s = hs.functional_series(w.sample_path(model, 400, w.RngStream(SEED + 12, i)), sched)
+            s = hs.functional_series(w.sample_path(model, 400, w.RngStream(SEED + 12, i).generator()), sched)
             for arr in (s.L, s.A, s.r):
                 assert np.all(np.diff(arr) >= -1e-9 * np.maximum(arr[:-1], 1.0))
 

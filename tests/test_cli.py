@@ -185,6 +185,22 @@ def test_clt_budget_guard_before_sampling(monkeypatch, capsys):
     _assert_one_error_line(capsys, "steps * replicates = 100000000000 exceeds the budget guard")
 
 
+def test_clt_zero_steps_exit_one_before_sampling(monkeypatch, tmp_path, capsys):
+    # zero steps give L = 0 on every path, so the standardised samples are 0/0
+    _forbid(monkeypatch, cli.montecarlo, "collect_samples")
+    hist = tmp_path / "hist.csv"
+    assert main(["clt", "--steps", "0", "--replicates", "50", "--hist-out", str(hist)]) == 1
+    _assert_one_error_line(capsys, "n >= 1")
+    assert not hist.exists()
+
+
+def test_bad_schedule_spec_names_the_spec(capsys):
+    argv = ["simulate", "--model", "pr", "--steps", "10", "--replicates", "2", "--schedule"]
+    for spec in ("geometric:1", "geometric:2,x", "linear:1,2"):
+        assert main([*argv, spec]) == 1
+        _assert_one_error_line(capsys, f"bad schedule spec {spec!r}")
+
+
 def test_constants_budget_guard_before_sampling(monkeypatch, capsys):
     _forbid(monkeypatch, cli.limits, "_brownian_block")
     assert main(["constants", "--grid", "1000000000", "--replicates", "100"]) == 1
@@ -310,6 +326,34 @@ def test_report_heavy_tail(tmp_path, capsys):
                                   ("--model", "pareto:1.5,1,0"))
     assert main(["report", "--in", str(csv_p), "--limits", str(lim_p), "--out", str(rep_p)]) == 0
     assert [r["quantity"] for r in json.loads(rep_p.read_text())["report"]] == ["2norm_mu"]
+
+
+def test_report_heavy_tail_rows_untested(tmp_path):
+    # Pareto(1.5) steps have infinite variance, so no standard error holds;
+    # the CSV header alone, or the limits file alone, marks the run as heavy
+    files = {}
+    for model in ("pareto:1.5,1,0", "pr:1,0"):
+        csv_p, lim_p = tmp_path / f"{model}.csv", tmp_path / f"{model}.json"
+        assert main(["simulate", "--model", model, "--steps", "2000", "--replicates", "100",
+                     "--seed", "2", "--out", str(csv_p)]) == 0
+        assert main(["limits", "--model", model, "--allow-heavy", "--out", str(lim_p)]) == 0
+        files[model] = (csv_p, lim_p)
+
+    def report(csv_model, lim_model):
+        rep_p = tmp_path / "rep.json"
+        assert main(["report", "--in", str(files[csv_model][0]), "--limits", str(files[lim_model][1]),
+                     "--out", str(rep_p)]) == 0
+        return json.loads(rep_p.read_text())["report"]
+
+    (row,) = report("pareto:1.5,1,0", "pareto:1.5,1,0")
+    assert row["quantity"] == "2norm_mu" and row["verdict"] == "untested"
+    # the estimate, 4.7 standard errors from 2|mu| = 2, is still reported
+    assert math.isclose(row["estimate"], 2.1749, abs_tol=1e-4)
+    assert math.isclose(row["std_error"], 0.0371, abs_tol=1e-4)
+    for csv_model, lim_model in (("pareto:1.5,1,0", "pr:1,0"), ("pr:1,0", "pareto:1.5,1,0")):
+        rows = report(csv_model, lim_model)
+        assert rows and all(r["verdict"] == "untested" and r["std_error"] > 0 for r in rows)
+    assert "consistent" in {r["verdict"] for r in report("pr:1,0", "pr:1,0")}
 
 
 def test_report_malformed_inputs_exit_one(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Streaming series vs the batch oracle, schedules, and the inradius dichotomy."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -44,13 +45,24 @@ def test_schedule_spec_round_trip():
         hs.CheckpointSchedule.parse("linear:1,2")
 
 
+def test_schedule_equality_and_bad_specs():
+    geo, exp = hs.CheckpointSchedule.geometric, hs.CheckpointSchedule.explicit
+    assert hs.CheckpointSchedule.parse("geometric") == geo(10, 1.25) == geo()
+    assert hs.CheckpointSchedule.parse("explicit:0,1,2") == exp(range(3))
+    assert geo(2, 2.0) != exp([2]) and geo(2, 2.0) != geo(2, 3.0)
+    assert exp([]).spec_string() == "explicit:" and geo(2, 2.0).spec_string() == "geometric:2,2"
+    for spec in ("geometric:1", "geometric:1,2,3", "geometric:a,2", "geometric:-1,2", "explicit:1,x"):
+        with pytest.raises(ValueError, match=f"bad schedule spec {re.escape(repr(spec))}"):
+            hs.CheckpointSchedule.parse(spec)
+
+
 # ---------------------------------------------------------------------------
 # functional series
 # ---------------------------------------------------------------------------
 
 
 def _path(points):
-    return w.WalkPath(np.asarray(points, dtype=float))
+    return np.asarray(points, dtype=float)
 
 
 def test_series_right_triangle():
@@ -82,7 +94,7 @@ def test_batch_equals_functional_on_examples():
 
 def test_series_matches_batch_at_every_prefix_lattice():
     sched = hs.CheckpointSchedule.explicit(range(51))
-    path = w.sample_path(w.LatticeSRW(), 50, w.RngStream(123, 5))
+    path = w.sample_path(w.LatticeSRW(), 50, w.RngStream(123, 5).generator())
     a = hs.functional_series(path, sched)
     b = hs.batch_series(path, sched)
     assert np.array_equal(a.L, b.L) or np.allclose(a.L, b.L, rtol=1e-12)
@@ -96,7 +108,7 @@ def test_equivalence_on_random_paths(spec):
     model = w.parse_model(spec)
     sched = hs.CheckpointSchedule.geometric(5, 1.4)
     for i in range(125):
-        path = w.sample_path(model, 200, w.RngStream(31, i))
+        path = w.sample_path(model, 200, w.RngStream(31, i).generator())
         a = hs.functional_series(path, sched)
         b = hs.batch_series(path, sched)
         for x, y in ((a.L, b.L), (a.A, b.A), (a.r, b.r)):
@@ -108,7 +120,7 @@ def test_series_monotone_in_n(spec):
     model = w.parse_model(spec)
     sched = hs.CheckpointSchedule.geometric(2, 1.3)
     for i in range(20):
-        s = hs.functional_series(w.sample_path(model, 500, w.RngStream(77, i)), sched)
+        s = hs.functional_series(w.sample_path(model, 500, w.RngStream(77, i).generator()), sched)
         for arr in (s.L, s.A, s.r):
             assert np.all(arr >= -0.0)
             assert np.all(np.diff(arr) >= -1e-9 * np.maximum(arr[:-1], 1.0))
@@ -130,7 +142,7 @@ def test_inradius_grows_without_drift():
     for model in (w.LatticeSRW(), w.PearsonRayleigh()):
         lo, hi = [], []
         for i in range(60):
-            s = hs.functional_series(w.sample_path(model, 100000, w.RngStream(404, i)), sched)
+            s = hs.functional_series(w.sample_path(model, 100000, w.RngStream(404, i).generator()), sched)
             lo.append(s.r[0])
             hi.append(s.r[1])
         assert np.median(hi) > np.median(lo)
@@ -142,7 +154,7 @@ def test_inradius_stabilizes_with_drift():
     model = w.PearsonRayleigh((0.2, 0.0))
     r4, r5 = [], []
     for i in range(400):
-        s = hs.functional_series(w.sample_path(model, 100000, w.RngStream(505, i)), sched)
+        s = hs.functional_series(w.sample_path(model, 100000, w.RngStream(505, i).generator()), sched)
         r4.append(s.r[0])
         r5.append(s.r[1])
     r4, r5 = np.sort(r4), np.sort(r5)

@@ -227,6 +227,39 @@ def test_brownian_constant_estimates_smoke():
     assert abs(r.value - 4 * math.log(2)) <= 4 * r.std_error
 
 
+# (value, std_error) of brownian_constant_estimates(grid, 4, 5).  At grid
+# 4096 = 64^2 the 1/sqrt(grid) scaling is exact; at 2048 it rounds, so that
+# case also pins the order of the partial sums and the scaling.
+BROWNIAN_PINS = {
+    4096: {
+        "E_l1": (4.342844064377649, 0.1551848846339557),
+        "var_l1": (0.09632939367541654, 0.042923358107004025),
+        "E_a1": (1.1937994646625936, 0.04408456508914229),
+        "var_a1": (0.007773795516395291, 0.0027394786650364942),
+        "E_at1": (0.8696259408610003, 0.03795076664332428),
+        "var_at1": (0.00576104275526422, 0.0019526473166936844),
+        "E_r1_sq": (2.0468898052991267, 0.7764482527259781),
+        "var_bridge_l1": (0.06960674063955968, 0.017781287435710013),
+    },
+    2048: {
+        "E_l1": (4.551800342208445, 0.30512380847562776),
+        "var_l1": (0.3724021539946863, 0.10221307544097345),
+        "E_a1": (1.3660240573642597, 0.1385197826499163),
+        "var_a1": (0.07675092074152019, 0.018952931810553717),
+        "E_at1": (0.8744246720460487, 0.05791767790758163),
+        "var_at1": (0.013417829656825477, 0.00519097025500618),
+        "E_r1_sq": (3.2915534690590196, 1.6930329730469793),
+        "var_bridge_l1": (0.1938613839540971, 0.07223496110761606),
+    },
+}
+
+
+@pytest.mark.parametrize("grid", list(BROWNIAN_PINS))
+def test_brownian_constant_estimates_bits_pinned(grid):
+    ests = lm.brownian_constant_estimates(grid, 4, 5)
+    assert {k: (e.value, e.std_error) for k, e in ests.items()} == BROWNIAN_PINS[grid]
+
+
 def test_brownian_reference_values_consistency():
     constants, bounds = lm.brownian_reference_values()
     assert math.isclose(constants["E_l1"], math.sqrt(8 * math.pi))

@@ -98,27 +98,83 @@ def test_empirical_moments_match_analytic(spec):
 
 
 def test_stream_determinism_and_independence():
-    a = w.sample_path(w.LatticeSRW(), 50, w.RngStream(7, 3)).positions
-    b = w.sample_path(w.LatticeSRW(), 50, w.RngStream(7, 3)).positions
-    c = w.sample_path(w.LatticeSRW(), 50, w.RngStream(7, 4)).positions
+    a = w.sample_path(w.LatticeSRW(), 50, w.RngStream(7, 3).generator())
+    b = w.sample_path(w.LatticeSRW(), 50, w.RngStream(7, 3).generator())
+    c = w.sample_path(w.LatticeSRW(), 50, w.RngStream(7, 4).generator())
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
 
 def test_sample_path_basics():
-    assert w.sample_path(w.Hex6(), 0, w.RngStream(1)).positions.tolist() == [[0.0, 0.0]]
-    path = w.sample_path(w.LatticeSRW(), 3, w.RngStream(5, 0)).positions
+    assert w.sample_path(w.Hex6(), 0, w.RngStream(1).generator()).tolist() == [[0.0, 0.0]]
+    path = w.sample_path(w.LatticeSRW(), 3, w.RngStream(5, 0).generator())
     steps = np.diff(path, axis=0)
     support = {(1, 0), (-1, 0), (0, 1), (0, -1)}
     assert all(tuple(s) in support for s in steps)
     assert np.allclose(np.hypot(steps[:, 0], steps[:, 1]), 1.0)
     with pytest.raises(ValueError):
-        w.sample_path(w.LatticeSRW(), -1, w.RngStream(1))
+        w.sample_path(w.LatticeSRW(), -1, w.RngStream(1).generator())
 
 
-def test_walkpath_must_start_at_origin():
-    with pytest.raises(ValueError):
-        w.WalkPath(np.array([[1.0, 0.0], [2.0, 0.0]]))
+# Positions of sample_path(parse_model(spec), 4, RngStream(8, k).generator())
+# for the k-th spec; every model family of MODEL_GRAMMAR appears, so a change
+# to any model's draws or arithmetic shows here.
+SAMPLE_PATH_PINS = {
+    "lattice": [
+        [0.0, 0.0], [-1.0, 0.0], [-1.0, -1.0], [-1.0, -2.0], [-2.0, -2.0],
+    ],
+    "hex6": [
+        [0.0, 0.0], [-1.0, 1.0], [-1.0, 0.0], [0.0, 0.0], [0.0, -1.0],
+    ],
+    "pr": [
+        [0.0, 0.0], [-0.8381456075301362, -0.5454465515318058],
+        [-0.34394528494180354, -1.4147946067741166], [-0.5455623750805427, -2.3942590262218],
+        [0.2604650183895356, -2.986137257765951],
+    ],
+    "pr:0.2,-0.1": [
+        [0.0, 0.0], [0.48582814142170516, 0.8582808949214284],
+        [0.4565447006324021, 1.7316405939946016], [-0.05115857224143677, 2.3381503798883685],
+        [1.0139300025625928, 1.7365312437466807],
+    ],
+    "gauss": [
+        [0.0, 0.0], [0.3416187575849059, 0.5115959995197191],
+        [0.43309393517697337, -1.098874203843918], [-1.2607893821448575, 0.6606794100220355],
+        [-1.8221281293617526, 1.643845555508999],
+    ],
+    "gauss:1,0.3,2,0.5,-0.25": [
+        [0.0, 0.0], [2.6854080047452378, 0.7280748340661867],
+        [2.3542738493854256, -1.1270372451888628], [1.0535415997160313, -3.5544245075271217],
+        [0.6825645171183727, -3.7793274322242496],
+    ],
+    "st-binary": [
+        [0.0, 0.0], [1.0, -1.0], [2.0, 0.0], [3.0, -1.0], [4.0, -2.0],
+    ],
+    "st-gauss": [
+        [0.0, 0.0], [1.0, 1.2620900792638918], [2.0, -0.21063823066668386],
+        [3.0, -0.3857523754745604], [4.0, 0.46608106028447505],
+    ],
+    "pareto:1.5": [
+        [0.0, 0.0], [0.3253820758105077, 1.02965550994426],
+        [3.568651399075873, -0.15534401908090834], [4.309921265929935, 0.5589708227998464],
+        [5.293919317104734, 1.6364475227763924],
+    ],
+    "pareto:2.5,0.3,0": [
+        [0.0, 0.0], [-0.1911242738460862, 0.9109394034739079],
+        [1.638643462134679, 1.7226225112858233], [0.6885736666660958, 2.57287557275095],
+        [0.12094062796487504, 3.1115001194789653],
+    ],
+}
+
+
+def test_sample_path_pins_cover_the_grammar():
+    families = {spec.partition(":")[0] for spec in SAMPLE_PATH_PINS}
+    assert families == {tok.strip().partition("[")[0].partition(":")[0] for tok in w.MODEL_GRAMMAR.split("|")}
+
+
+@pytest.mark.parametrize("k, spec", enumerate(SAMPLE_PATH_PINS), ids=list(SAMPLE_PATH_PINS))
+def test_sample_path_bits_pinned(k, spec):
+    pos = w.sample_path(w.parse_model(spec), 4, w.RngStream(8, k).generator())
+    assert pos.tolist() == SAMPLE_PATH_PINS[spec]
 
 
 # ---------------------------------------------------------------------------
@@ -128,9 +184,9 @@ def test_walkpath_must_start_at_origin():
 
 def test_brownian_path_zero_cov_and_single_step():
     p = w.brownian_path(np.zeros((2, 2)), 16, w.RngStream(1).generator())
-    assert np.all(p.positions == 0.0)
+    assert np.all(p == 0.0)
     q = w.brownian_path(np.eye(2), 1, w.RngStream(1).generator())
-    assert q.positions.shape == (2, 2)
+    assert q.shape == (2, 2)
 
 
 def test_brownian_path_endpoint_second_moment():
@@ -138,7 +194,7 @@ def test_brownian_path_endpoint_second_moment():
     vals = []
     for i in range(600):
         p = w.brownian_path(np.eye(2), 64, w.RngStream(11, i).generator())
-        vals.append(float(p.positions[-1] @ p.positions[-1]))
+        vals.append(float(p[-1] @ p[-1]))
     vals = np.asarray(vals)
     se = vals.std(ddof=1) / math.sqrt(len(vals))
     assert abs(vals.mean() - 2.0) <= 3 * se
@@ -152,17 +208,17 @@ def test_brownian_path_rejects_non_psd():
 
 
 def test_bridge_path_pinned_at_both_ends():
-    p = w.bridge_path(256, w.RngStream(3, 1).generator()).positions
+    p = w.bridge_path(256, w.RngStream(3, 1).generator())
     assert p[0].tolist() == [0.0, 0.0]
     assert p[-1].tolist() == [0.0, 0.0]
-    tiny = w.bridge_path(1, w.RngStream(3).generator()).positions
+    tiny = w.bridge_path(1, w.RngStream(3).generator())
     assert np.all(tiny == 0.0)
 
 
 def test_bridge_path_is_pinned_brownian_path():
-    b = w.brownian_path(np.eye(2), 64, w.RngStream(5).generator()).positions
+    b = w.brownian_path(np.eye(2), 64, w.RngStream(5).generator())
     t = np.arange(65)[:, None] / 64
-    assert np.array_equal(w.bridge_path(64, w.RngStream(5).generator()).positions, b - t * b[-1])
+    assert np.array_equal(w.bridge_path(64, w.RngStream(5).generator()), b - t * b[-1])
 
 
 def test_psd_sqrt_closed_form():
@@ -182,8 +238,8 @@ def test_brownian_area_scaling_with_paired_seeds():
 
     ratios = []
     for i in range(40):
-        p1 = w.brownian_path(np.eye(2), 4096, w.RngStream(21, i).generator()).positions
-        p2 = w.brownian_path(2.0 * np.eye(2), 4096, w.RngStream(21, i).generator()).positions
+        p1 = w.brownian_path(np.eye(2), 4096, w.RngStream(21, i).generator())
+        p2 = w.brownian_path(2.0 * np.eye(2), 4096, w.RngStream(21, i).generator())
         a1 = _functionals_from_vertices(hull_vertices(p1))[1]
         a2 = _functionals_from_vertices(hull_vertices(p2))[1]
         ratios.append(a2 / a1)
@@ -225,17 +281,17 @@ def test_psi_scaling_errors():
 
 def test_center_of_mass():
     n = 8
-    straight = w.WalkPath(np.column_stack([np.arange(n + 1, dtype=float), np.zeros(n + 1)]))
+    straight = np.column_stack([np.arange(n + 1, dtype=float), np.zeros(n + 1)])
     com = w.center_of_mass(straight)
-    assert com.positions[-1].tolist() == [(n + 1) / 2, 0.0]
-    one = w.sample_path(w.PearsonRayleigh(), 1, w.RngStream(9))
-    assert np.allclose(w.center_of_mass(one).positions[1], one.positions[1])
+    assert com[-1].tolist() == [(n + 1) / 2, 0.0]
+    one = w.sample_path(w.PearsonRayleigh(), 1, w.RngStream(9).generator())
+    assert np.allclose(w.center_of_mass(one)[1], one[1])
 
 
 def test_center_of_mass_hull_contained_in_walk_hull():
-    path = w.sample_path(w.PearsonRayleigh((0.1, 0.0)), 300, w.RngStream(13, 2))
-    hull = geom2d.convex_hull(path.positions)
-    for p in w.center_of_mass(path).positions:
+    path = w.sample_path(w.PearsonRayleigh((0.1, 0.0)), 300, w.RngStream(13, 2).generator())
+    hull = geom2d.convex_hull(path)
+    for p in w.center_of_mass(path):
         assert hull.contains(p)
 
 
