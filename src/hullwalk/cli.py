@@ -25,10 +25,23 @@ from .hullstream import CheckpointSchedule
 from .walkgen import DEFAULT_BROWNIAN_GRID, parse_model
 
 DEFAULT_BUDGET = 10**10
+# One path peaks at 40-50 bytes a step (its draws, positions and hull series),
+# so the longest path allowed needs under 2 GB.
+MAX_PATH_STEPS = 2**25
 
-CSV_COLUMNS = (
-    "n,mean_L,se_L,var_L,se_varL,mean_A,se_A,var_A,se_varA,mean_r"
+# The CSV columns after n: (column, montecarlo.estimate statistic, attribute).
+_CSV_FIELDS = (
+    ("mean_L", "meanL", "value"),
+    ("se_L", "meanL", "std_error"),
+    ("var_L", "varL", "value"),
+    ("se_varL", "varL", "std_error"),
+    ("mean_A", "meanA", "value"),
+    ("se_A", "meanA", "std_error"),
+    ("var_A", "varA", "value"),
+    ("se_varA", "varA", "std_error"),
+    ("mean_r", "meanR", "value"),
 )
+CSV_COLUMNS = ",".join(["n"] + [column for column, _, _ in _CSV_FIELDS])
 
 
 class ConfigError(Exception):
@@ -129,12 +142,14 @@ def cmd_simulate(args) -> int:
         raise ConfigError(f"steps must be nonnegative, got {args.steps}")
     if args.replicates < 2:
         raise ConfigError(f"replicates must be >= 2, got {args.replicates}")
+    checkpoints = sched.resolve(args.steps)
+    if not checkpoints:
+        raise ConfigError(f"schedule {sched.spec_string()!r} gives no checkpoints")
     _guard_work("steps * replicates", args.steps * args.replicates, args.budget, args.force)
+    _guard_work("steps per path", args.steps, MAX_PATH_STEPS, args.force)
     ests = montecarlo.estimate(model, args.steps, sched, args.replicates, args.seed)
-    by_cp: dict[int, dict[str, montecarlo.MonteCarloEstimate]] = {}
-    for e in ests:
-        by_cp.setdefault(e.n, {})[e.statistic] = e
     _check_finite(e.value for e in ests)
+    by_key = {(e.n, e.statistic): e for e in ests}
 
     heavy = not model.moments().finite_variance
     lines = [
@@ -149,27 +164,9 @@ def cmd_simulate(args) -> int:
     if heavy:
         lines.append("# heavy_tail: true")
     lines.append(CSV_COLUMNS)
-    for n in sorted(by_cp):
-        row = by_cp[n]
-        lines.append(
-            ",".join(
-                [str(n)]
-                + [
-                    _fmt(v)
-                    for v in (
-                        row["meanL"].value,
-                        row["meanL"].std_error,
-                        row["varL"].value,
-                        row["varL"].std_error,
-                        row["meanA"].value,
-                        row["meanA"].std_error,
-                        row["varA"].value,
-                        row["varA"].std_error,
-                        row["meanR"].value,
-                    )
-                ]
-            )
-        )
+    for n in checkpoints:
+        row = [_fmt(getattr(by_key[n, stat], attr)) for _, stat, attr in _CSV_FIELDS]
+        lines.append(",".join([str(n)] + row))
     _write_text(args.out, "\n".join(lines) + "\n")
     return 0
 
@@ -202,6 +199,7 @@ def cmd_limits(args) -> int:
 def cmd_clt(args) -> int:
     model = parse_model(args.model)
     _guard_work("steps * replicates", args.steps * args.replicates)
+    _guard_work("steps per path", args.steps, MAX_PATH_STEPS)
     try:
         result = montecarlo.clt_test(model, args.steps, args.replicates, args.seed)
     except HullwalkError as exc:
@@ -227,6 +225,7 @@ def cmd_clt(args) -> int:
 
 def cmd_constants(args) -> int:
     _guard_work("grid * replicates", args.grid * args.replicates)
+    _guard_work("grid steps per path", args.grid, MAX_PATH_STEPS)
     ests = limits.brownian_constant_estimates(args.grid, args.replicates, args.seed)
     constants, bounds = limits.brownian_reference_values()
     report = limits.assemble_report(ests, constants, bounds)
@@ -377,10 +376,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, HullwalkError, OSError) as exc:
+    except (ConfigError, ValueError, HullwalkError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericFailure as exc:

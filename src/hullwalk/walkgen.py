@@ -1,8 +1,8 @@
 """Increment models and path generation for planar random walks.
 
 Each model carries its analytic moments (mean drift, covariance, the variance
-split along and across the drift direction) next to a vectorized sampler, so
-simulations can always be checked against closed forms.
+split along and across the drift direction) next to a vectorized sampler; a
+finite-support walk is a step table, from which both are derived once.
 
 Every path is an (n+1, 2) positions array starting at the origin, drawn by
 ``sample_path(model, n, rng)`` from a numpy Generator; the Brownian motion and
@@ -56,13 +56,16 @@ class MomentSummary:
     """
 
     mu: tuple[float, float]
-    Sigma: tuple[tuple[float, float], tuple[float, float]] | None
-    sigma2: float | None
-    sigma2_mu: float | None
-    sigma2_perp: float | None
-    det_Sigma: float | None
-    rho_cross: float | None
-    finite_variance: bool
+    Sigma: tuple[tuple[float, float], tuple[float, float]] | None = None
+    sigma2: float | None = None
+    sigma2_mu: float | None = None
+    sigma2_perp: float | None = None
+    det_Sigma: float | None = None
+    rho_cross: float | None = None
+
+    @property
+    def finite_variance(self) -> bool:
+        return self.Sigma is not None
 
     @property
     def norm_mu(self) -> float:
@@ -93,7 +96,6 @@ def _split_moments(mu: np.ndarray, Sigma: np.ndarray) -> MomentSummary:
         sigma2_perp=s_perp,
         det_Sigma=float(np.linalg.det(Sigma)),
         rho_cross=rho,
-        finite_variance=True,
     )
 
 
@@ -137,49 +139,71 @@ def _as_pair(value) -> tuple[float, float]:
     return (float(x), float(y))
 
 
-_LATTICE_STEPS = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-_HEX6_STEPS = np.array(
-    [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [-1.0, 1.0], [1.0, -1.0]]
-)
+def _step_table(rows) -> np.ndarray:
+    steps = np.array(rows, dtype=float)
+    steps.flags.writeable = False
+    return steps
+
+
+class _FiniteSupport:
+    """A walk whose step is drawn uniformly from the rows of the class's ``steps``.
+
+    The moments, the sampler and the support all follow from that table;
+    ``name`` is the model's spec string.
+    """
+
+    def moments(self) -> MomentSummary:
+        k = len(self.steps)
+        mu = self.steps.sum(0) / k
+        centred = self.steps - mu
+        return _split_moments(mu, centred.T @ centred / k)
+
+    def sample_increments(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        return self.steps[rng.integers(0, len(self.steps), size=n)]
+
+    def support(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.steps, np.full(len(self.steps), 1.0 / len(self.steps))
+
+    def spec_string(self) -> str:
+        return self.name
+
+
+class _ContinuousSupport:
+    def support(self):
+        raise NotFiniteSupportError(f"model {self.spec_string()!r} has continuous support")
 
 
 @dataclass(frozen=True)
-class LatticeSRW:
+class LatticeSRW(_FiniteSupport):
     """Simple random walk on Z^2: steps (+-1, 0), (0, +-1) each with probability 1/4."""
 
-    def moments(self) -> MomentSummary:
-        return _split_moments(np.zeros(2), 0.5 * np.eye(2))
-
-    def sample_increments(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return _LATTICE_STEPS[rng.integers(0, 4, size=n)]
-
-    def support(self) -> tuple[np.ndarray, np.ndarray]:
-        return _LATTICE_STEPS, np.full(4, 0.25)
-
-    def spec_string(self) -> str:
-        return "lattice"
+    name = "lattice"
+    steps = _step_table([[1, 0], [-1, 0], [0, 1], [0, -1]])
 
 
 @dataclass(frozen=True)
-class Hex6:
+class Hex6(_FiniteSupport):
     """Six-step lattice walk: (+-1,0), (0,+-1), (-1,1), (1,-1) each with probability 1/6."""
 
-    def moments(self) -> MomentSummary:
-        Sigma = np.array([[2.0 / 3.0, -1.0 / 3.0], [-1.0 / 3.0, 2.0 / 3.0]])
-        return _split_moments(np.zeros(2), Sigma)
-
-    def sample_increments(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return _HEX6_STEPS[rng.integers(0, 6, size=n)]
-
-    def support(self) -> tuple[np.ndarray, np.ndarray]:
-        return _HEX6_STEPS, np.full(6, 1.0 / 6.0)
-
-    def spec_string(self) -> str:
-        return "hex6"
+    name = "hex6"
+    steps = _step_table([[1, 0], [-1, 0], [0, 1], [0, -1], [-1, 1], [1, -1]])
 
 
 @dataclass(frozen=True)
-class PearsonRayleigh:
+class SpacetimeBinary(_FiniteSupport):
+    """Steps (1, -1) and (1, 1) each with probability 1/2.
+
+    The walk is the space-time diagram of a one-dimensional simple random
+    walk; its centered increments are orthogonal to the drift, which is the
+    degenerate case where the perimeter variance grows slower than n.
+    """
+
+    name = "st-binary"
+    steps = _step_table([[1, -1], [1, 1]])
+
+
+@dataclass(frozen=True)
+class PearsonRayleigh(_ContinuousSupport):
     """Unit-length step in a uniformly random direction, plus a fixed drift."""
 
     drift: tuple[float, float] = (0.0, 0.0)
@@ -200,9 +224,6 @@ class PearsonRayleigh:
         out[:, 1] += self.drift[1]
         return out
 
-    def support(self):
-        raise NotFiniteSupportError("Pearson-Rayleigh steps have continuous support")
-
     def spec_string(self) -> str:
         if self.drift == (0.0, 0.0):
             return "pr"
@@ -210,7 +231,7 @@ class PearsonRayleigh:
 
 
 @dataclass(frozen=True)
-class Gaussian:
+class Gaussian(_ContinuousSupport):
     """Gaussian increments with arbitrary mean and 2x2 PSD covariance."""
 
     mean: tuple[float, float] = (0.0, 0.0)
@@ -235,9 +256,6 @@ class Gaussian:
         out[:, 1] += self.mean[1]
         return out
 
-    def support(self):
-        raise NotFiniteSupportError("Gaussian steps have continuous support")
-
     def spec_string(self) -> str:
         (a, b), (_, c) = self.cov
         mx, my = self.mean
@@ -247,32 +265,7 @@ class Gaussian:
 
 
 @dataclass(frozen=True)
-class SpacetimeBinary:
-    """Steps (1, 1) and (1, -1) each with probability 1/2.
-
-    The walk is the space-time diagram of a one-dimensional simple random
-    walk; its centered increments are orthogonal to the drift, which is the
-    degenerate case where the perimeter variance grows slower than n.
-    """
-
-    def moments(self) -> MomentSummary:
-        return _split_moments(np.array([1.0, 0.0]), np.diag([0.0, 1.0]))
-
-    def sample_increments(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        out = np.empty((n, 2))
-        out[:, 0] = 1.0
-        out[:, 1] = rng.integers(0, 2, size=n) * 2.0 - 1.0
-        return out
-
-    def support(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.array([[1.0, 1.0], [1.0, -1.0]]), np.full(2, 0.5)
-
-    def spec_string(self) -> str:
-        return "st-binary"
-
-
-@dataclass(frozen=True)
-class SpacetimeGaussian:
+class SpacetimeGaussian(_ContinuousSupport):
     """Steps (1, xi) with xi standard normal: space-time diagram of a Gaussian walk."""
 
     def moments(self) -> MomentSummary:
@@ -284,15 +277,12 @@ class SpacetimeGaussian:
         out[:, 1] = rng.standard_normal(n)
         return out
 
-    def support(self):
-        raise NotFiniteSupportError("space-time Gaussian steps have continuous support")
-
     def spec_string(self) -> str:
         return "st-gauss"
 
 
 @dataclass(frozen=True)
-class ParetoDirection:
+class ParetoDirection(_ContinuousSupport):
     """Heavy-tailed step: radius (1 - U)^(-1/alpha), direction uniform, plus drift.
 
     The radius is Pareto(alpha) with minimum 1, so the mean is finite for
@@ -312,16 +302,7 @@ class ParetoDirection:
         if self.alpha > 2.0:
             er2 = self.alpha / (self.alpha - 2.0)
             return _split_moments(np.asarray(self.drift, dtype=float), 0.5 * er2 * np.eye(2))
-        return MomentSummary(
-            mu=(float(self.drift[0]), float(self.drift[1])),
-            Sigma=None,
-            sigma2=None,
-            sigma2_mu=None,
-            sigma2_perp=None,
-            det_Sigma=None,
-            rho_cross=None,
-            finite_variance=False,
-        )
+        return MomentSummary(mu=self.drift)
 
     def sample_increments(self, n: int, rng: np.random.Generator) -> np.ndarray:
         radius = (1.0 - rng.random(n)) ** (-1.0 / self.alpha)
@@ -330,9 +311,6 @@ class ParetoDirection:
         out[:, 0] = radius * np.cos(theta) + self.drift[0]
         out[:, 1] = radius * np.sin(theta) + self.drift[1]
         return out
-
-    def support(self):
-        raise NotFiniteSupportError("Pareto steps have continuous support")
 
     def spec_string(self) -> str:
         if self.drift == (0.0, 0.0):
@@ -349,45 +327,32 @@ MODEL_GRAMMAR = (
     "st-binary | st-gauss | pareto:alpha[,dx,dy]"
 )
 
+# name -> (allowed argument counts, constructor taking the parsed arguments)
+_MODELS = {
+    "lattice": ((0,), LatticeSRW),
+    "hex6": ((0,), Hex6),
+    "pr": ((0, 2), lambda *drift: PearsonRayleigh(drift or (0.0, 0.0))),
+    "gauss": (
+        (0, 3, 5),
+        lambda s11=1.0, s12=0.0, s22=1.0, *mean: Gaussian(mean or (0.0, 0.0), ((s11, s12), (s12, s22))),
+    ),
+    "st-binary": ((0,), SpacetimeBinary),
+    "st-gauss": ((0,), SpacetimeGaussian),
+    "pareto": ((1, 3), lambda alpha, *drift: ParetoDirection(alpha, drift or (0.0, 0.0))),
+}
+
 
 def parse_model(spec: str):
     """Parse a model spec string (see MODEL_GRAMMAR); the inverse of ``spec_string``."""
     spec = spec.strip()
     name, _, argstr = spec.partition(":")
-    name = name.strip().lower()
     args = [float(tok) for tok in argstr.split(",")] if argstr else []
-    if name == "lattice":
-        _expect_args(spec, args, (0,))
-        return LatticeSRW()
-    if name == "hex6":
-        _expect_args(spec, args, (0,))
-        return Hex6()
-    if name == "pr":
-        _expect_args(spec, args, (0, 2))
-        return PearsonRayleigh(tuple(args)) if args else PearsonRayleigh()
-    if name == "gauss":
-        _expect_args(spec, args, (0, 3, 5))
-        if not args:
-            return Gaussian()
-        s11, s12, s22 = args[:3]
-        mean = tuple(args[3:5]) if len(args) == 5 else (0.0, 0.0)
-        return Gaussian(mean=mean, cov=((s11, s12), (s12, s22)))
-    if name == "st-binary":
-        _expect_args(spec, args, (0,))
-        return SpacetimeBinary()
-    if name == "st-gauss":
-        _expect_args(spec, args, (0,))
-        return SpacetimeGaussian()
-    if name == "pareto":
-        _expect_args(spec, args, (1, 3))
-        drift = tuple(args[1:3]) if len(args) == 3 else (0.0, 0.0)
-        return ParetoDirection(alpha=args[0], drift=drift)
-    raise ValueError(f"unknown model spec {spec!r}; grammar: {MODEL_GRAMMAR}")
-
-
-def _expect_args(spec, args, allowed):
-    if len(args) not in allowed:
+    counts, make = _MODELS.get(name.strip().lower(), ((), None))
+    if make is None:
+        raise ValueError(f"unknown model spec {spec!r}; grammar: {MODEL_GRAMMAR}")
+    if len(args) not in counts:
         raise ValueError(f"bad argument count in model spec {spec!r}; grammar: {MODEL_GRAMMAR}")
+    return make(*args)
 
 
 # ---------------------------------------------------------------------------

@@ -207,6 +207,41 @@ def test_constants_budget_guard_before_sampling(monkeypatch, capsys):
     _assert_one_error_line(capsys, "grid * replicates = 100000000000 exceeds the budget guard")
 
 
+# 4e9 steps times 2 replicates passes the 1e10 product guard, but one such
+# path would take about 180 GB.
+@pytest.mark.parametrize(
+    "argv, module, name, label",
+    [
+        (["simulate", "--model", "pr", "--steps", "4000000000", "--replicates", "2"],
+         "montecarlo", "estimate", "steps per path"),
+        (["clt", "--steps", "4000000000", "--replicates", "2"], "montecarlo", "collect_samples", "steps per path"),
+        (["constants", "--grid", "4000000000", "--replicates", "2"], "limits", "_brownian_block",
+         "grid steps per path"),
+    ],
+    ids=["simulate", "clt", "constants"],
+)
+def test_path_length_guard_before_sampling(monkeypatch, capsys, argv, module, name, label):
+    _forbid(monkeypatch, getattr(cli, module), name)
+    assert main(argv) == 1
+    _assert_one_error_line(capsys, f"{label} = 4000000000 exceeds the budget guard {cli.MAX_PATH_STEPS}")
+
+
+def test_simulate_force_overrides_path_length_guard(monkeypatch):
+    _forbid(monkeypatch, cli.montecarlo, "estimate")
+    argv = ["simulate", "--model", "pr", "--steps", "4000000000", "--replicates", "2", "--force"]
+    with pytest.raises(AssertionError, match="ran past the budget guard"):
+        main(argv)
+
+
+def test_simulate_empty_schedule_exit_one_before_sampling(monkeypatch, tmp_path, capsys):
+    _forbid(monkeypatch, cli.montecarlo, "estimate")
+    out = tmp_path / "e.csv"
+    argv = ["simulate", "--model", "pr", "--steps", "10", "--replicates", "2", "--schedule", "explicit:"]
+    assert main([*argv, "--out", str(out)]) == 1
+    _assert_one_error_line(capsys, "schedule 'explicit:' gives no checkpoints")
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # exact / constants
 # ---------------------------------------------------------------------------
