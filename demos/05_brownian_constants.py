@@ -44,8 +44,7 @@ print("  v+   :", vplus_bounds())
 
 print(f"\nMonte Carlo at grid 2^15, {REPLICATES} replicates:")
 ests = brownian_constant_estimates(GRID, REPLICATES, master_seed=3)
-constants, bounds = brownian_reference_values()
-for row in assemble_report(ests, constants, bounds):
+for row in assemble_report(brownian_reference_values(), ests):
     est = f"{row.estimate.value:.4f} +- {row.estimate.std_error:.4f}"
     theo = "-" if row.theoretical is None else f"{row.theoretical:.4f}"
     print(f"  {row.quantity:>14}: {est:<22} theoretical {theo:<8} -> {row.verdict}")

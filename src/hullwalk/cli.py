@@ -2,9 +2,9 @@
 
 Simulation output is CSV with a '#'-prefixed metadata header; everything else
 is JSON.  Exit codes: 0 success, 1 configuration or validation error,
-2 numeric failure (NaN in results), memory exhaustion or a worker process
-that died.  The HULLWALK_THREADS environment variable caps the worker
-processes (at most one per CPU) without changing any output.
+2 numeric failure (a NaN or infinity in results), memory exhaustion or a
+worker process that died.  The HULLWALK_THREADS environment variable caps
+the worker processes (at most one per CPU) without changing any output.
 """
 
 from __future__ import annotations
@@ -121,9 +121,13 @@ def _write_text(path: str, text: str):
             fh.write(text)
 
 
-def _check_finite(values):
-    if not np.isfinite(np.asarray(list(values), dtype=float)).all():
-        raise NumericFailure("NaN or infinity in results")
+def _write_json(path: str, doc: dict):
+    """Write ``doc`` as indented JSON; a NaN or infinity anywhere is a NumericFailure."""
+    try:
+        text = json.dumps(doc, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise NumericFailure("NaN or infinity in results") from exc
+    _write_text(path, text + "\n")
 
 
 def _fmt(x: float) -> str:
@@ -148,7 +152,8 @@ def cmd_simulate(args) -> int:
     _guard_work("steps * replicates", args.steps * args.replicates, args.budget, args.force)
     _guard_work("steps per path", args.steps, MAX_PATH_STEPS, args.force)
     ests = montecarlo.estimate(model, args.steps, sched, args.replicates, args.seed)
-    _check_finite(e.value for e in ests)
+    if not np.isfinite([e.value for e in ests]).all():
+        raise NumericFailure("NaN or infinity in results")
     by_key = {(e.n, e.statistic): e for e in ests}
 
     heavy = not model.moments().finite_variance
@@ -191,8 +196,7 @@ def cmd_limits(args) -> int:
     else:
         out["2norm_mu"] = 2.0 * mom.norm_mu
         out["heavy_tail"] = True
-    _check_finite(v for v in out.values() if isinstance(v, float))
-    _write_text(args.out, json.dumps(out, indent=2) + "\n")
+    _write_json(args.out, out)
     return 0
 
 
@@ -218,8 +222,7 @@ def cmd_clt(args) -> int:
         "replicates": args.replicates,
         "histogram": args.hist_out,
     }
-    _check_finite([result.D])
-    _write_text(args.out, json.dumps(verdict, indent=2) + "\n")
+    _write_json(args.out, verdict)
     return 0
 
 
@@ -227,8 +230,7 @@ def cmd_constants(args) -> int:
     _guard_work("grid * replicates", args.grid * args.replicates)
     _guard_work("grid steps per path", args.grid, MAX_PATH_STEPS)
     ests = limits.brownian_constant_estimates(args.grid, args.replicates, args.seed)
-    constants, bounds = limits.brownian_reference_values()
-    report = limits.assemble_report(ests, constants, bounds)
+    report = limits.assemble_report(limits.brownian_reference_values(), ests)
     out = {
         "grid": args.grid,
         "replicates": args.replicates,
@@ -236,17 +238,13 @@ def cmd_constants(args) -> int:
         "estimates": {k: {"value": e.value, "std_error": e.std_error} for k, e in ests.items()},
         "report": [r.to_dict() for r in report],
     }
-    _check_finite(e.value for e in ests.values())
-    _write_text(args.out, json.dumps(out, indent=2) + "\n")
+    _write_json(args.out, out)
     return 0
 
 
 def cmd_exact(args) -> int:
     model = parse_model(args.model)
-    try:
-        check = montecarlo.martingale_decomposition_check(model, args.steps)
-    except HullwalkError as exc:
-        raise ConfigError(str(exc)) from exc
+    check = montecarlo.martingale_decomposition_check(model, args.steps)
     ex = check.moments
     ok = math.isclose(check.lhs, check.rhs, rel_tol=1e-10, abs_tol=1e-12)
     out = {
@@ -259,8 +257,7 @@ def cmd_exact(args) -> int:
         "mdiff_rhs": check.rhs,
         "mdiff_check": "ok" if ok else "mismatch",
     }
-    _check_finite([ex.EL, ex.VarL, ex.EA])
-    _write_text(args.out, json.dumps(out, indent=2) + "\n")
+    _write_json(args.out, out)
     return 0
 
 
@@ -289,6 +286,8 @@ def _read_simulate_csv(path: str) -> tuple[dict, list[dict]]:
             if len(parts) != len(header):
                 raise ConfigError(f"{path}: a data row has {len(parts)} fields, not {len(header)}")
             rows.append({k: float(v) for k, v in zip(header, parts)})
+            if not all(map(math.isfinite, rows[-1].values())):
+                raise ConfigError(f"{path}: a data row holds a NaN or infinity")
     if header is None or not rows:
         raise ConfigError(f"{path} contains no data rows")
     return meta, rows
@@ -316,6 +315,12 @@ _REPORT_ROWS = (
     # Snyder-Steele: Var L_n <= (pi^2/2) sigma^2 n at every n.
     ("ss_bound", None, "ss_bound", "upper", "var_L", "se_varL", lambda lim, n: n),
 )
+# The (theoretical, bounds) pair of a reference row, from its limits value.
+_REFERENCE = {
+    "constant": lambda v: (v, None),
+    "bounds": lambda v: (None, tuple(v)),
+    "upper": lambda v: (None, (0.0, v)),
+}
 
 
 def cmd_report(args) -> int:
@@ -331,21 +336,18 @@ def cmd_report(args) -> int:
     R = int(meta.get("replicates", "0"))
     try:
         drift = lim.get("norm_mu", 0.0) > 0.0
-        estimates, constants, bounds = {}, {}, {}
+        references, estimates = [], {}
         for q, regime, key, kind, value, se, divisor in _REPORT_ROWS:
             if regime not in (None, drift) or key not in lim:
                 continue
             d = divisor(lim, n)
             if not d:
                 continue
+            references.append((q, *_REFERENCE[kind](lim[key])))
             estimates[q] = montecarlo.MonteCarloEstimate(int(n), q, final[value] / d, final[se] / d, R)
-            if kind == "constant":
-                constants[q] = lim[key]
-            else:
-                bounds[q] = tuple(lim[key]) if kind == "bounds" else (0.0, lim[key])
         if not estimates:
             raise ConfigError(f"{args.limits_in} holds no quantity to report for this model")
-        report = limits.assemble_report(estimates, constants, bounds)
+        report = limits.assemble_report(references, estimates)
     except TypeError as exc:
         raise ConfigError(f"{args.limits_in} holds a value of the wrong type: {exc}") from exc
     if meta.get("heavy_tail") == "true" or lim.get("heavy_tail") is True:
@@ -357,7 +359,7 @@ def cmd_report(args) -> int:
         "n": int(n),
         "report": [r.to_dict() for r in report],
     }
-    _write_text(args.out, json.dumps(out, indent=2) + "\n")
+    _write_json(args.out, out)
     return 0
 
 

@@ -6,8 +6,12 @@ Kac/Hunt counterpart, the Barndorff-Nielsen/Baxter area sum, the limit
 constants reached by E L_n, Var L_n, E A_n and Var A_n under zero and nonzero
 drift, the Brownian hull constants (Letac/Takacs sqrt(8 pi), E a_1 = pi/2,
 E atilde_1 = sqrt(2 pi)/3, Feller's 4 log 2), the Rogers-Shepp double
-integral for E[l_1^2], and Goldman's bridge-perimeter variance.  Monte Carlo
-estimates are matched against these through ``assemble_report``.
+integral for E[l_1^2], and Goldman's bridge-perimeter variance.
+
+Verdicts come from ``assemble_report``, which takes ordered reference rows
+``(quantity, theoretical, bounds)`` and a dict of Monte Carlo estimates and
+calls an estimate consistent only when it lies within five standard errors
+of the row's value and bounds.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from .errors import (
     InfiniteVarianceError,
     InvalidReplicatesError,
     MismatchedQuantitiesError,
-    NotPSDError,
 )
 from .hullstream import _functionals_from_vertices, hull_vertices
 from .montecarlo import MonteCarloEstimate, _map_replicates, _mean_se, _var_se
@@ -376,22 +379,18 @@ def brownian_constant_estimates(
     }
 
 
-def brownian_reference_values(rs_tol: float = 1e-4) -> tuple[dict[str, float], dict[str, tuple[float, float]]]:
-    """Theoretical constants and rigorous bounds matching the estimate keys."""
-    constants = {
-        "E_l1": BROWNIAN.E_l1,
-        "E_a1": BROWNIAN.E_a1,
-        "E_at1": BROWNIAN.E_atilde1,
-        "E_r1_sq": BROWNIAN.E_range_sq,
-        "var_l1": rogers_shepp_var_l1(rs_tol),
-        "var_bridge_l1": goldman_bridge_variance(),
-    }
-    bounds = {
-        "var_l1": u0_bounds(2.0, identity=True),
-        "var_a1": v0_bounds(),
-        "var_at1": vplus_bounds(),
-    }
-    return constants, bounds
+def brownian_reference_values(rs_tol: float = 1e-4) -> list[tuple]:
+    """Reference rows ``(quantity, theoretical, bounds)`` for the estimate keys, in report order."""
+    return [
+        ("E_l1", BROWNIAN.E_l1, None),
+        ("E_a1", BROWNIAN.E_a1, None),
+        ("E_at1", BROWNIAN.E_atilde1, None),
+        ("E_r1_sq", BROWNIAN.E_range_sq, None),
+        ("var_l1", rogers_shepp_var_l1(rs_tol), u0_bounds(2.0, identity=True)),
+        ("var_bridge_l1", goldman_bridge_variance(), None),
+        ("var_a1", None, v0_bounds()),
+        ("var_at1", None, vplus_bounds()),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -424,50 +423,37 @@ class LimitReport:
         }
 
 
-def assemble_report(estimates, constants, bounds) -> list[LimitReport]:
-    """Match estimates with constants/bounds and assign verdicts.
+def assemble_report(references, estimates) -> list[LimitReport]:
+    """One verdict per ``(quantity, theoretical | None, (low, high) | None)`` row, in row order.
 
-    A quantity is ``violated`` when its estimate is more than five standard
-    errors away from the theoretical value, or outside rigorous bounds by the
-    same margin; ``untested`` when no estimate was supplied.
+    An estimate is ``consistent`` only when it lies within five standard
+    errors of the theoretical value and of the bounds, so a NaN estimate or
+    standard error reads ``violated``; a row without one is ``untested``.
 
     Raises:
-        MismatchedQuantitiesError: if an estimate refers to a quantity with
-            neither a constant nor bounds.
+        MismatchedQuantitiesError: if an estimate has no reference row.
+        ValueError: for a row with neither a value nor bounds, or a value outside them.
     """
-    constants = dict(constants)
-    bounds = dict(bounds)
-    known = list(constants.keys()) + [q for q in bounds if q not in constants]
+    known = {q for q, _, _ in references}
     for q in estimates:
-        if q not in constants and q not in bounds:
+        if q not in known:
             raise MismatchedQuantitiesError(f"estimate for unknown quantity {q!r}")
     out = []
-    for q in known:
-        theo = constants.get(q)
-        lo, hi = bounds.get(q, (None, None))
-        if theo is not None and lo is not None and hi is not None and not (lo <= theo <= hi):
+    for q, theo, bounds in references:
+        lo, hi = (None, None) if bounds is None else bounds
+        if theo is None and bounds is None:
+            raise ValueError(f"reference row {q!r} has neither a theoretical value nor bounds")
+        if theo is not None and bounds is not None and not (lo <= theo <= hi):
             raise ValueError(f"theoretical value for {q!r} falls outside its own bounds")
         est = estimates.get(q)
         if est is None:
             verdict = "untested"
         else:
             slack = VERDICT_SE_MULTIPLE * est.std_error
-            bad = False
-            if theo is not None:
-                bad = abs(est.value - theo) > slack
-            if lo is not None and (est.value < lo - slack or est.value > hi + slack):
-                bad = True
-            verdict = "violated" if bad else "consistent"
-        out.append(
-            LimitReport(
-                quantity=q,
-                theoretical=theo,
-                bound_low=lo,
-                bound_high=hi,
-                estimate=est,
-                verdict=verdict,
-            )
-        )
+            near = theo is None or abs(est.value - theo) <= slack
+            inside = bounds is None or lo - slack <= est.value <= hi + slack
+            verdict = "consistent" if near and inside else "violated"
+        out.append(LimitReport(q, theo, lo, hi, est, verdict))
     return out
 
 

@@ -155,11 +155,7 @@ _FUNCTIONAL_COLUMN = {"L": 0, "A": 1, "r": 2}
 
 
 def _terminal_block(lo: int, hi: int, model, n: int, column: int, master_seed: int) -> np.ndarray:
-    out = np.empty(hi - lo)
-    for i in range(lo, hi):
-        path = sample_path(model, n, RngStream(master_seed, i).generator())
-        out[i - lo] = _series_arrays(path, [n])[0, column]
-    return out
+    return _series_block(lo, hi, model, n, (n,), master_seed)[:, 0, column]
 
 
 def collect_samples(model, n: int, replicates: int, master_seed: int, functional: str = "L") -> SampleSet:
@@ -202,24 +198,21 @@ def norm_mean_estimates(model, ks, replicates: int, master_seed: int):
 
 
 def ks_statistic(samples, cdf) -> float:
-    """One-sample Kolmogorov-Smirnov distance between samples and a cdf.
+    """One-sample Kolmogorov-Smirnov distance between samples and a vectorised cdf.
 
     D = max over order statistics x_(i) of max(i/m - F(x_(i)), F(x_(i)) - (i-1)/m).
 
     Raises:
         TooFewSamplesError: with fewer than two samples.
+        ValueError: if ``cdf`` does not return one value per sample.
     """
-    values = samples.values if isinstance(samples, SampleSet) else np.asarray(samples, dtype=float)
-    m = len(values)
+    xs = np.sort(np.asarray(samples, dtype=float))
+    m = len(xs)
     if m < 2:
         raise TooFewSamplesError(f"need at least 2 samples, got {m}")
-    xs = np.sort(values)
-    try:
-        f = np.asarray(cdf(xs), dtype=float)
-        if f.shape != xs.shape:
-            raise ValueError
-    except (TypeError, ValueError):
-        f = np.array([float(cdf(x)) for x in xs])
+    f = np.asarray(cdf(xs), dtype=float)
+    if f.shape != xs.shape:
+        raise ValueError(f"the cdf returned shape {f.shape} for {m} samples")
     i = np.arange(1, m + 1)
     return float(np.maximum(i / m - f, f - (i - 1) / m).max())
 
@@ -246,12 +239,15 @@ def clt_test(model, n: int, replicates: int, master_seed: int) -> CltResult:
 
     Raises:
         ValueError: if n < 1, before any sampling.
+        InvalidReplicatesError: if replicates < 2, before any sampling.
         ZeroDriftError: if the model has zero mean increment.
         DegenerateDriftError: if fluctuations along the drift vanish
             (sigma2_mu = 0), where the Gaussian limit fails.
     """
     if n < 1:
         raise ValueError(f"the CLT check needs n >= 1 steps, got {n}")
+    if replicates < 2:
+        raise InvalidReplicatesError(f"the CLT check needs replicates >= 2, got {replicates}")
     mom = model.moments()
     if mom.norm_mu == 0.0:
         raise ZeroDriftError("the Gaussian perimeter limit needs a drift")
@@ -260,16 +256,10 @@ def clt_test(model, n: int, replicates: int, master_seed: int) -> CltResult:
             "sigma2_mu = 0: increments fluctuate only orthogonally to the drift"
         )
     samples = collect_samples(model, n, replicates, master_seed, functional="L")
-    z = standardized_perimeter_samples(samples, mom.sigma2_mu)
+    z = (samples.values - samples.values.mean()) / math.sqrt(4.0 * mom.sigma2_mu * n)
     d = ks_statistic(z, ndtr)
     thr = ks_threshold(replicates)
     return CltResult(D=d, threshold=thr, passed=d < thr, z=z)
-
-
-def standardized_perimeter_samples(samples: SampleSet, sigma2_mu: float) -> np.ndarray:
-    """(L - mean L) / sqrt(4 sigma2_mu n) for each replicate."""
-    scale = math.sqrt(4.0 * sigma2_mu * samples.n)
-    return (samples.values - samples.values.mean()) / scale
 
 
 # ---------------------------------------------------------------------------

@@ -194,6 +194,13 @@ def test_clt_zero_steps_exit_one_before_sampling(monkeypatch, tmp_path, capsys):
     assert not hist.exists()
 
 
+def test_clt_one_replicate_exit_one_before_sampling(monkeypatch, capsys):
+    # one replicate gives no KS statistic, so the check refuses it before sampling
+    _forbid(monkeypatch, cli.montecarlo, "collect_samples")
+    assert main(["clt", "--steps", "1000", "--replicates", "1"]) == 1
+    _assert_one_error_line(capsys, "replicates >= 2, got 1")
+
+
 def test_bad_schedule_spec_names_the_spec(capsys):
     argv = ["simulate", "--model", "pr", "--steps", "10", "--replicates", "2", "--schedule"]
     for spec in ("geometric:1", "geometric:2,x", "linear:1,2"):
@@ -294,6 +301,28 @@ def test_exact_budget_checked_before_enumerating(monkeypatch, capsys):
     assert main(["exact", "--model", "hex6", "--steps", "8"]) == 1
     assert capsys.readouterr().err == "error: support^9 = 10077696 exceeds the 10000000 budget\n"
     assert calls == []
+
+
+@pytest.mark.parametrize("command", ["constants", "exact"])
+def test_json_with_nan_exit_two(monkeypatch, tmp_path, capsys, command):
+    # the whole JSON document is checked: here a NaN standard error, or a NaN
+    # right-hand side of the martingale check
+    if command == "constants":
+        def nan_se(*args):
+            return {q: cli.montecarlo.MonteCarloEstimate(8, q, 1.0, math.nan, 2)
+                    for q, _, _ in cli.limits.brownian_reference_values()}
+
+        monkeypatch.setattr(cli.limits, "brownian_constant_estimates", nan_se)
+        argv = ["constants", "--grid", "8", "--replicates", "2"]
+    else:
+        check = cli.montecarlo.martingale_decomposition_check
+        monkeypatch.setattr(cli.montecarlo, "martingale_decomposition_check",
+                            lambda *a: cli.montecarlo.MartingaleCheck(check(*a).moments, math.nan))
+        argv = ["exact", "--model", "lattice", "--steps", "2"]
+    out = tmp_path / "o.json"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "numeric failure: NaN or infinity in results\n"
+    assert not out.exists()
 
 
 def test_constants_small_run(tmp_path):
@@ -408,6 +437,19 @@ def test_report_malformed_inputs_exit_one(tmp_path, capsys):
     no_se.write_text("\n".join(lines) + "\n")
     assert main(["report", "--in", str(no_se), "--limits", str(lim_p)]) == 1
     _assert_one_error_line(capsys, "se_L")
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_report_refuses_non_finite_csv(tmp_path, capsys, bad):
+    csv_p, lim_p, rep_p = _report(tmp_path, ["--model", "pr:0.2,0"])
+    # the final mean_L and se_varL, which feed 2norm_mu, 4sigma2_mu and ss_bound
+    lines = csv_p.read_text().splitlines()
+    cols = lines[-1].split(",")
+    cols[1] = cols[4] = bad
+    csv_p.write_text("\n".join(lines[:-1] + [",".join(cols)]) + "\n")
+    assert main(["report", "--in", str(csv_p), "--limits", str(lim_p), "--out", str(rep_p)]) == 1
+    _assert_one_error_line(capsys, f"{csv_p}: a data row holds a NaN or infinity")
+    assert not rep_p.exists()
 
 
 def test_inradius_exact_zero_on_flat_walk(tmp_path):

@@ -261,11 +261,21 @@ def test_brownian_constant_estimates_bits_pinned(grid):
 
 
 def test_brownian_reference_values_consistency():
-    constants, bounds = lm.brownian_reference_values()
+    rows = lm.brownian_reference_values()
+    constants = {q: theo for q, theo, _ in rows if theo is not None}
+    bounds = {q: b for q, _, b in rows if b is not None}
     assert math.isclose(constants["E_l1"], math.sqrt(8 * math.pi))
     for q, (lo, hi) in bounds.items():
         if q in constants:
             assert lo <= constants[q] <= hi
+
+
+def test_brownian_reference_rows_in_report_order():
+    rows = lm.brownian_reference_values()
+    assert [q for q, _, _ in rows] == [
+        "E_l1", "E_a1", "E_at1", "E_r1_sq", "var_l1", "var_bridge_l1", "var_a1", "var_at1",
+    ]
+    assert {q for q, _, _ in rows} == set(lm.brownian_constant_estimates(8, 4, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -279,9 +289,8 @@ def _est(q, value, se):
 
 def test_assemble_report_verdicts():
     reports = lm.assemble_report(
+        references=[("a", 2.0, None), ("b", None, (0.0, 2.0))],
         estimates={"a": _est("a", 2.0, 0.05), "b": _est("b", 3.0, 0.01)},
-        constants={"a": 2.0},
-        bounds={"b": (0.0, 2.0)},
     )
     by_q = {r.quantity: r for r in reports}
     assert by_q["a"].verdict == "consistent"
@@ -289,14 +298,36 @@ def test_assemble_report_verdicts():
 
 
 def test_assemble_report_untested_and_mismatch():
-    reports = lm.assemble_report({}, {"a": 1.0}, {})
+    reports = lm.assemble_report([("a", 1.0, None)], {})
     assert reports[0].verdict == "untested"
     with pytest.raises(MismatchedQuantitiesError):
-        lm.assemble_report({"zzz": _est("zzz", 1.0, 0.1)}, {"a": 1.0}, {})
+        lm.assemble_report([("a", 1.0, None)], {"zzz": _est("zzz", 1.0, 0.1)})
+
+
+@pytest.mark.parametrize("value, se", [(math.nan, 0.1), (1.0, math.nan), (math.nan, math.nan)])
+def test_assemble_report_nan_reads_violated(value, se):
+    references = [("a", 1.0, None), ("b", None, (0.0, 2.0)), ("c", 1.0, (0.0, 2.0))]
+    estimates = {q: _est(q, value, se) for q in "abc"}
+    reports = lm.assemble_report(references, estimates)
+    assert [(r.quantity, r.verdict) for r in reports] == [("a", "violated"), ("b", "violated"), ("c", "violated")]
+
+
+def test_assemble_report_rows_in_given_order():
+    references = [("z", None, (0.0, 1.0)), ("a", 0.5, None), ("m", 0.5, (0.0, 1.0))]
+    reports = lm.assemble_report(references, {"m": _est("m", 0.5, 0.1)})
+    assert [(r.quantity, r.verdict) for r in reports] == [("z", "untested"), ("a", "untested"), ("m", "consistent")]
+    assert (reports[2].theoretical, reports[2].bound_low, reports[2].bound_high) == (0.5, 0.0, 1.0)
+
+
+def test_assemble_report_rejects_empty_or_inconsistent_rows():
+    with pytest.raises(ValueError, match="neither"):
+        lm.assemble_report([("a", None, None)], {"a": _est("a", 1.0, 0.1)})
+    with pytest.raises(ValueError, match="outside its own bounds"):
+        lm.assemble_report([("a", 3.0, (0.0, 2.0))], {})
 
 
 def test_report_to_dict_schema():
-    row = lm.assemble_report({"a": _est("a", 1.0, 0.1)}, {"a": 1.0}, {})[0]
+    row = lm.assemble_report([("a", 1.0, None)], {"a": _est("a", 1.0, 0.1)})[0]
     d = row.to_dict()
     assert set(d) == {"quantity", "theoretical", "bound_low", "bound_high", "estimate", "std_error", "verdict"}
 

@@ -145,6 +145,11 @@ def test_ks_statistic_needs_two_samples():
         mc.ks_statistic(np.array([1.0]), lambda x: x)
 
 
+def test_ks_statistic_needs_a_vectorised_cdf():
+    with pytest.raises(ValueError, match="shape"):
+        mc.ks_statistic(np.array([0.25, 0.5, 0.75]), lambda x: 0.5)
+
+
 def test_ks_calibration_under_the_null():
     # frozen calibration run: uniform samples against the uniform cdf pass
     # the 5% threshold in 96 of 100 streams at m = 1e4
