@@ -382,9 +382,12 @@ class ExactMoments:
 
 
 def _exact_moments(L_all: np.ndarray, A_all: np.ndarray, w: np.ndarray) -> ExactMoments:
-    el = float(w @ L_all)
-    var = float(w @ (L_all * L_all)) - el * el
-    return ExactMoments(el, max(var, 0.0), float(w @ A_all))
+    # einsum without ``optimize`` never calls BLAS, whose threaded sums round
+    # differently with the thread count; the centred form of the variance
+    # avoids the cancellation of E[L^2] - (E L)^2.
+    el = float(np.einsum("i,i", w, L_all))
+    dev = L_all - el
+    return ExactMoments(el, float(np.einsum("i,i,i", w, dev, dev)), float(np.einsum("i,i", w, A_all)))
 
 
 def enumerate_exact(model, n: int, budget: int = ENUMERATION_BUDGET) -> ExactMoments:
@@ -434,8 +437,8 @@ def martingale_decomposition_check(model, n: int, budget: int = ENUMERATION_BUDG
     rhs = 0.0
     for i in range(1, n + 1):
         T = L_all.reshape(s ** (i - 1), s, s ** (n - i))
-        m1 = T @ _sequence_weights(p, n - i)  # E[L_n | first i steps] -> (head, s)
-        m2 = m1 @ p  # E[L_n^(i) | first i steps], resampled -> (head,)
+        m1 = np.einsum("hsf,f->hs", T, _sequence_weights(p, n - i))  # E[L_n | first i steps]
+        m2 = np.einsum("hs,s->h", m1, p)  # E[L_n^(i) | first i steps], resampled
         d = m1 - m2[:, None]
-        rhs += float(_sequence_weights(p, i - 1) @ ((d * d) @ p))
+        rhs += float(np.einsum("h,hs,hs,s", _sequence_weights(p, i - 1), d, d, p))
     return MartingaleCheck(_exact_moments(L_all, A_all, _sequence_weights(p, n)), rhs)

@@ -251,7 +251,13 @@ class Gaussian(_ContinuousSupport):
         return _split_moments(np.asarray(self.mean, dtype=float), np.array(self.cov, dtype=float))
 
     def sample_increments(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        out = rng.standard_normal((n, 2)) @ self._sqrt
+        out = rng.standard_normal((n, 2))
+        root = self._sqrt
+        if root[0, 1] == 0.0 and root[1, 0] == 0.0:
+            out[:, 0] *= root[0, 0]  # a diagonal root scales each column: no BLAS call
+            out[:, 1] *= root[1, 1]
+        else:
+            out = out @ root
         out[:, 0] += self.mean[0]  # per column: a broadcast over width 2 is slow
         out[:, 1] += self.mean[1]
         return out

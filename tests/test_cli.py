@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -294,6 +298,22 @@ def test_exact_enumerates_once(monkeypatch, tmp_path):
     data = json.loads(out.read_text())
     assert data["VarL"] == data["mdiff_lhs"]
     assert data["mdiff_check"] == "ok"
+
+
+def test_exact_independent_of_blas_threads():
+    # OpenBLAS splits long dot products across threads and rounds per split;
+    # exact's sums must not go through it
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "hullwalk", "exact", "--model", "hex6", "--steps", "6"],
+                              env=env, capture_output=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["mdiff_check"] == "ok"
 
 
 def test_exact_budget_checked_before_enumerating(monkeypatch, capsys):

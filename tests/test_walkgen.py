@@ -266,6 +266,17 @@ def test_psd_sqrt_closed_form():
     assert np.all(w.psd_sqrt(np.zeros((2, 2))) == 0.0)
 
 
+@pytest.mark.parametrize("spec", ["gauss", "gauss:2,0,0.5", "gauss:0,0,1", "gauss:1,0,0,0.3,-2"])
+def test_diagonal_root_scaling_equals_matrix_product(spec):
+    # where a root entry is 0, z * 0 may be -0.0 where the product gave +0.0:
+    # equal values, so the comparison is by value, not by bytes
+    model = w.parse_model(spec)
+    assert model._sqrt[0, 1] == model._sqrt[1, 0] == 0.0
+    got = model.sample_increments(131072, w.RngStream(9).generator())
+    want = w.RngStream(9).generator().standard_normal((131072, 2)) @ model._sqrt + np.array(model.mean)
+    assert (got == want).all()
+
+
 def test_brownian_area_scaling_with_paired_seeds():
     # doubling the covariance doubles hull areas pathwise: A(sqrt(2) K) = 2 A(K)
     from hullwalk.hullstream import _functionals_from_vertices, hull_vertices
