@@ -7,13 +7,13 @@ import math
 
 import numpy as np
 
-from hullwalk import (
+from hullwalk.geom2d import (
+    area,
     cauchy_perimeter,
     convex_hull,
     dist_origin_to_boundary,
     hausdorff,
     perimeter,
-    area,
     steiner_area,
     support,
 )

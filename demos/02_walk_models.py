@@ -5,7 +5,8 @@ Run:  python3 demos/02_walk_models.py
 
 import numpy as np
 
-from hullwalk import RngStream, functional_series, CheckpointSchedule, parse_model, sample_path
+from hullwalk.hullstream import CheckpointSchedule, functional_series
+from hullwalk.walkgen import RngStream, parse_model, sample_path
 
 SPECS = ["lattice", "hex6", "pr", "pr:0.2,0", "gauss", "st-binary", "st-gauss", "pareto:1.5"]
 

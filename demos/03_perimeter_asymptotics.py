@@ -7,22 +7,22 @@ Spitzer-Widom gives E L_n exactly from the norm means E|S_k|; the limits are
 Run:  python3 demos/03_perimeter_asymptotics.py   (about 5 s on two cores)
 """
 
-import math
-
-import numpy as np
-
-from hullwalk import (
-    CheckpointSchedule,
+from hullwalk.hullstream import CheckpointSchedule
+from hullwalk.limits import (
+    expected_norm_gaussian,
+    interpolate_norm_means,
+    limit_constants,
+    log_spaced_ks,
+    sw_expected_perimeter,
+)
+from hullwalk.montecarlo import (
     clt_test,
     enumerate_exact,
     estimate,
-    expected_norm_gaussian,
-    limit_constants,
-    parse_model,
-    sw_expected_perimeter,
+    exact_norm_means,
+    norm_mean_estimates,
 )
-from hullwalk.limits import interpolate_norm_means, log_spaced_ks
-from hullwalk.montecarlo import exact_norm_means, norm_mean_estimates
+from hullwalk.walkgen import parse_model
 
 # --- exact: enumeration vs the Spitzer-Widom sum on the square lattice ----
 lattice = parse_model("lattice")

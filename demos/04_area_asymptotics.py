@@ -10,16 +10,10 @@ Run:  python3 demos/04_area_asymptotics.py
 
 import math
 
-from hullwalk import (
-    CheckpointSchedule,
-    bnb_expected_area,
-    enumerate_exact,
-    estimate,
-    gaussian_spacetime_area_exact,
-    parse_model,
-    partial_sum_pi,
-)
-from hullwalk.montecarlo import exact_triangle_mean
+from hullwalk.hullstream import CheckpointSchedule
+from hullwalk.limits import bnb_expected_area, gaussian_spacetime_area_exact, partial_sum_pi
+from hullwalk.montecarlo import enumerate_exact, estimate, exact_triangle_mean
+from hullwalk.walkgen import parse_model
 
 # --- exact: path enumeration vs the triangle-area double sum ---------------
 for spec in ("lattice", "hex6"):

@@ -12,17 +12,17 @@ Run:  python3 demos/05_brownian_constants.py   (about 15 s on two cores; shrink
 
 import math
 
-from hullwalk import (
+from hullwalk.limits import (
     BROWNIAN,
     assemble_report,
     brownian_constant_estimates,
+    brownian_reference_values,
     goldman_bridge_variance,
     rogers_shepp_second_moment,
     u0_bounds,
     v0_bounds,
     vplus_bounds,
 )
-from hullwalk.limits import brownian_reference_values
 
 GRID = 2**15
 REPLICATES = 400

@@ -25,10 +25,6 @@ class ZeroDriftError(HullwalkError):
     """The operation requires a nonzero mean increment."""
 
 
-class ZeroPerpVarianceError(HullwalkError):
-    """The operation requires positive variance orthogonal to the drift."""
-
-
 class DegenerateDriftError(HullwalkError):
     """Increment fluctuations are orthogonal to the drift (variance along it is zero)."""
 

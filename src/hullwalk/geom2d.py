@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
@@ -28,12 +27,6 @@ from .errors import EmptyInputError, NonUnitDirectionError, OriginOutsideError
 
 # Relative tolerance (times the diameter) for point-membership tests.
 MEMBERSHIP_RTOL = 1e-9
-
-
-class Degeneracy(Enum):
-    POINT = "point"
-    SEGMENT = "segment"
-    FULL_DIM = "full_dim"
 
 
 def _points_array(points) -> np.ndarray:
@@ -237,15 +230,6 @@ class ConvexPolygon:
         object.__setattr__(self, "_unit_diameter", d)
 
     @property
-    def degeneracy(self) -> Degeneracy:
-        k = len(self.vertices)
-        if k == 1:
-            return Degeneracy.POINT
-        if k == 2:
-            return Degeneracy.SEGMENT
-        return Degeneracy.FULL_DIM
-
-    @property
     def diameter(self) -> float:
         """Largest distance between vertices; inf beyond the float range."""
         return _times_pow2(self._unit_diameter, self._exp)
@@ -398,17 +382,6 @@ def dist_origin_to_boundary(poly: ConvexPolygon) -> float:
     if not poly.contains((0.0, 0.0)):
         raise OriginOutsideError("origin is not inside the polygon")
     return _times_pow2(_inradius(poly._unit_cycle()), poly._exp)
-
-
-def triangle_area(u, v) -> float:
-    """Area of the triangle with side vectors u and v, via the cross product.
-
-    Equals (1/2) sqrt(|u|^2 |v|^2 - (u.v)^2) but avoids the cancellation in
-    the square-root form for nearly parallel sides.
-    """
-    ux, uy = _point_array(u)
-    vx, vy = _point_array(v)
-    return 0.5 * abs(ux * vy - uy * vx)
 
 
 def steiner_area(poly: ConvexPolygon, r: float) -> float:

@@ -46,8 +46,8 @@ class CheckpointSchedule:
 
     @staticmethod
     def geometric(start: int = DEFAULT_GEOMETRIC_START, ratio: float = DEFAULT_GEOMETRIC_RATIO):
-        if start < 0 or not ratio > 1.0:
-            raise ValueError(f"need start >= 0 and ratio > 1, got ({start}, {ratio})")
+        if start < 0 or not 1.0 < ratio < math.inf:
+            raise ValueError(f"need start >= 0 and a finite ratio > 1, got ({start}, {ratio})")
         return _Geometric(start, ratio)
 
     @staticmethod
@@ -86,7 +86,9 @@ class _Geometric(CheckpointSchedule):
         c = self.start
         while c < n_steps:
             out.append(c)
-            c = max(c + 1, int(math.ceil(c * self.ratio)))
+            # clamped at n_steps, where the loop ends anyway: c * ratio may
+            # overflow to infinity, which has no ceiling
+            c = max(c + 1, math.ceil(min(c * self.ratio, n_steps)))
         if not out or out[-1] != n_steps:
             out.append(n_steps)
         return out

@@ -48,14 +48,12 @@ class BrownianConstants:
 
     E_l1 and E_a1 are the expected perimeter and area of the planar Brownian
     hull; E_atilde1 the expected area of the space-time hull of a line
-    Brownian motion; E_sup_w the expected running maximum of one-dimensional
     Brownian motion; E_range_sq Feller's second moment of its range.
     """
 
     E_l1: float = math.sqrt(8.0 * math.pi)
     E_a1: float = math.pi / 2.0
     E_atilde1: float = math.sqrt(2.0 * math.pi) / 3.0
-    E_sup_w: float = math.sqrt(2.0 / math.pi)
     E_range_sq: float = 4.0 * math.log(2.0)
 
 

@@ -45,27 +45,15 @@ class MonteCarloEstimate:
     replicates: int
 
 
-@dataclass(frozen=True)
-class SampleSet:
-    """One functional value per replicate at a fixed step count."""
-
-    n: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if not np.isfinite(vals).all():
-            raise ValueError("sample values must be finite")
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-
-
 def worker_count() -> int:
     """Workers to use: the CPU count, or HULLWALK_THREADS if that is smaller."""
     cpus = os.cpu_count() or 1
     env = os.environ.get(THREADS_ENV_VAR)
     if env:
-        w = int(env)
+        try:
+            w = int(env)
+        except ValueError:
+            raise ValueError(f"{THREADS_ENV_VAR} must be an integer, got {env!r}") from None
         if w < 1:
             raise ValueError(f"{THREADS_ENV_VAR} must be >= 1, got {w}")
         return min(w, cpus)
@@ -158,13 +146,15 @@ def _terminal_block(lo: int, hi: int, model, n: int, column: int, master_seed: i
     return _series_block(lo, hi, model, n, (n,), master_seed)[:, 0, column]
 
 
-def collect_samples(model, n: int, replicates: int, master_seed: int, functional: str = "L") -> SampleSet:
-    """One terminal functional value (L, A, or r at step n) per replicate."""
+def collect_samples(model, n: int, replicates: int, master_seed: int, functional: str = "L") -> np.ndarray:
+    """One terminal functional value (L, A, or r at step n) per replicate, indexed by replicate."""
     if replicates < 1:
         raise InvalidReplicatesError(f"need replicates >= 1, got {replicates}")
     col = _FUNCTIONAL_COLUMN[functional]
     vals = _map_replicates(_terminal_block, replicates, (model, n, col, master_seed))
-    return SampleSet(n, vals)
+    if not np.isfinite(vals).all():
+        raise ValueError("sample values must be finite")
+    return vals
 
 
 def _norm_block(lo: int, hi: int, model, ks: tuple, master_seed: int) -> np.ndarray:
@@ -256,7 +246,7 @@ def clt_test(model, n: int, replicates: int, master_seed: int) -> CltResult:
             "sigma2_mu = 0: increments fluctuate only orthogonally to the drift"
         )
     samples = collect_samples(model, n, replicates, master_seed, functional="L")
-    z = (samples.values - samples.values.mean()) / math.sqrt(4.0 * mom.sigma2_mu * n)
+    z = (samples - samples.mean()) / math.sqrt(4.0 * mom.sigma2_mu * n)
     d = ks_statistic(z, ndtr)
     thr = ks_threshold(replicates)
     return CltResult(D=d, threshold=thr, passed=d < thr, z=z)
@@ -268,6 +258,10 @@ def clt_test(model, n: int, replicates: int, master_seed: int) -> CltResult:
 
 
 def _check_budget(s: int, k: int, budget: int):
+    # s**k >= 2**k > budget once s >= 2 and k passes the budget's bit length,
+    # so the power, which can have millions of digits, is built only below that.
+    if s >= 2 and k > budget.bit_length():
+        raise SupportTooLargeError(f"support^{k} = {s}^{k} exceeds the {budget} budget")
     if s**k > budget:
         raise SupportTooLargeError(f"support^{k} = {s**k} exceeds the {budget} budget")
 

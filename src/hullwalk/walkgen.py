@@ -19,12 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    NotFiniteSupportError,
-    NotPSDError,
-    ZeroDriftError,
-    ZeroPerpVarianceError,
-)
+from .errors import NotFiniteSupportError, NotPSDError
 
 DEFAULT_BROWNIAN_GRID = 2**17  # discretization bias on hull functionals < 1% here
 
@@ -358,6 +353,8 @@ def parse_model(spec: str):
         raise ValueError(f"unknown model spec {spec!r}; grammar: {MODEL_GRAMMAR}")
     if len(args) not in counts:
         raise ValueError(f"bad argument count in model spec {spec!r}; grammar: {MODEL_GRAMMAR}")
+    if not all(map(math.isfinite, args)):
+        raise ValueError(f"non-finite argument in model spec {spec!r}; grammar: {MODEL_GRAMMAR}")
     return make(*args)
 
 
@@ -410,42 +407,3 @@ def bridge_path(grid_n: int, rng: np.random.Generator) -> np.ndarray:
     pos[:, 1] -= t * pos[-1, 1]
     return pos
 
-
-def psi_scaling(p, mu, sigma2_perp: float, n: int):
-    """Affine scaling that sends a drifted hull to the space-time Brownian hull.
-
-    Maps x to (x . mu_hat / (n |mu|), x . mu_perp / sqrt(n sigma2_perp)),
-    where mu_perp is mu_hat rotated a quarter turn counterclockwise.
-    Accepts a single point or an array of points in the trailing axis.
-
-    Raises:
-        ZeroDriftError, ZeroPerpVarianceError: on degenerate parameters.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    mu = np.asarray(tuple(mu) if not isinstance(mu, np.ndarray) else mu, dtype=float)
-    norm_mu = float(np.hypot(mu[0], mu[1]))
-    if norm_mu == 0.0:
-        raise ZeroDriftError("psi scaling requires nonzero drift")
-    if not sigma2_perp > 0.0:
-        raise ZeroPerpVarianceError("psi scaling requires positive orthogonal variance")
-    mu_hat = mu / norm_mu
-    mu_perp = np.array([-mu_hat[1], mu_hat[0]])
-    pts = np.asarray(tuple(p) if not isinstance(p, np.ndarray) else p, dtype=float)
-    out = np.stack(
-        [
-            pts @ mu_hat / (n * norm_mu),
-            pts @ mu_perp / math.sqrt(n * sigma2_perp),
-        ],
-        axis=-1,
-    )
-    return out
-
-
-def center_of_mass(positions: np.ndarray) -> np.ndarray:
-    """Running centre of mass G_k = (S_1 + ... + S_k) / k, with G_0 = 0."""
-    out = np.zeros_like(positions)
-    n = len(positions) - 1
-    if n >= 1:
-        out[1:] = np.cumsum(positions[1:], axis=0) / np.arange(1, n + 1)[:, None]
-    return out

@@ -205,6 +205,33 @@ def test_clt_one_replicate_exit_one_before_sampling(monkeypatch, capsys):
     _assert_one_error_line(capsys, "replicates >= 2, got 1")
 
 
+# Each input exits 1 with one error line that names what is wrong; a
+# non-finite model argument is refused before any sampling.
+@pytest.mark.parametrize(
+    "argv, threads, forbidden, text",
+    [
+        (["simulate", "--model", "pr", "--steps", "100", "--replicates", "2", "--schedule", "geometric:10,inf"],
+         None, "estimate", "bad schedule spec 'geometric:10,inf'"),
+        (["exact", "--model", "lattice", "--steps", "100000"],
+         None, "_enumerate_functionals", "support^100000 = 4^100000 exceeds the 10000000 budget"),
+        (["simulate", "--model", "pr:nan,0", "--steps", "5000", "--replicates", "2", "--schedule", "explicit:100,5000"],
+         None, "estimate", "non-finite argument in model spec 'pr:nan,0'"),
+        (["clt", "--model", "gauss:1,0,1,inf,0", "--steps", "100", "--replicates", "10"],
+         None, "collect_samples", "non-finite argument in model spec 'gauss:1,0,1,inf,0'"),
+        (["simulate", "--model", "pr", "--steps", "10", "--replicates", "2"],
+         "abc", None, "HULLWALK_THREADS must be an integer, got 'abc'"),
+    ],
+    ids=["schedule-inf-ratio", "exact-huge-steps", "model-nan", "model-inf", "threads-not-int"],
+)
+def test_bad_input_exit_one(monkeypatch, capsys, argv, threads, forbidden, text):
+    if threads is not None:
+        monkeypatch.setenv("HULLWALK_THREADS", threads)
+    if forbidden is not None:
+        _forbid(monkeypatch, cli.montecarlo, forbidden)
+    assert main(argv) == 1
+    _assert_one_error_line(capsys, text)
+
+
 def test_bad_schedule_spec_names_the_spec(capsys):
     argv = ["simulate", "--model", "pr", "--steps", "10", "--replicates", "2", "--schedule"]
     for spec in ("geometric:1", "geometric:2,x", "linear:1,2"):

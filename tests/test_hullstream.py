@@ -25,6 +25,8 @@ def test_geometric_schedule_resolution():
     assert all(b > a for a, b in zip(cps, cps[1:]))
     assert sched.resolve(5) == [5]
     assert sched.resolve(0) == [0]
+    # 10 * 1e308 overflows to infinity; the step is clamped at the path length
+    assert hs.CheckpointSchedule.geometric(10, 1e308).resolve(100) == [10, 100]
 
 
 def test_explicit_schedule_validation():

@@ -108,13 +108,13 @@ def test_snyder_steele_bound_across_models():
 
 def test_collect_samples_single():
     s = mc.collect_samples(w.LatticeSRW(), 10, 1, 3, "L")
-    assert len(s.values) == 1 and s.n == 10
+    assert s.shape == (1,)
 
 
 def test_collect_samples_disjoint_seeds_uncorrelated():
     r = 2000
-    a = mc.collect_samples(w.PearsonRayleigh(), 100, r, 1, "L").values
-    b = mc.collect_samples(w.PearsonRayleigh(), 100, r, 2, "L").values
+    a = mc.collect_samples(w.PearsonRayleigh(), 100, r, 1, "L")
+    b = mc.collect_samples(w.PearsonRayleigh(), 100, r, 2, "L")
     corr = np.corrcoef(a, b)[0, 1]
     assert abs(corr) < 5 / math.sqrt(r)
 
@@ -122,8 +122,8 @@ def test_collect_samples_disjoint_seeds_uncorrelated():
 def test_collect_samples_spacetime_gaussian_area():
     # E A_2 = E |N(0, 2)| / 2 = 1/sqrt(pi), an exact two-step identity
     s = mc.collect_samples(w.SpacetimeGaussian(), 2, 4000, 8, "A")
-    se = s.values.std(ddof=1) / math.sqrt(len(s.values))
-    assert abs(s.values.mean() - 1 / math.sqrt(math.pi)) <= 3 * se
+    se = s.std(ddof=1) / math.sqrt(len(s))
+    assert abs(s.mean() - 1 / math.sqrt(math.pi)) <= 3 * se
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,12 @@
-"""Increment models: analytic moments, samplers, scaling maps, grammar."""
+"""Increment models: analytic moments, samplers, Brownian paths, grammar."""
 
 import math
 
 import numpy as np
 import pytest
 
-from hullwalk import geom2d
 from hullwalk import walkgen as w
-from hullwalk.errors import (
-    NotFiniteSupportError,
-    NotPSDError,
-    ZeroDriftError,
-    ZeroPerpVarianceError,
-)
+from hullwalk.errors import NotFiniteSupportError, NotPSDError
 
 FINITE_VARIANCE_SPECS = ["lattice", "hex6", "pr", "pr:0.2,0", "gauss", "st-binary", "st-gauss"]
 
@@ -289,55 +283,6 @@ def test_brownian_area_scaling_with_paired_seeds():
         a2 = _functionals_from_vertices(hull_vertices(p2))[1]
         ratios.append(a2 / a1)
     assert abs(np.mean(ratios) - 2.0) <= 0.1
-
-
-# ---------------------------------------------------------------------------
-# psi scaling and centre of mass
-# ---------------------------------------------------------------------------
-
-
-def test_psi_scaling_values_and_convention():
-    assert w.psi_scaling((4.0, 2.0), (1.0, 0.0), 1.0, 4).tolist() == [1.0, 1.0]
-    assert w.psi_scaling((0.0, 0.0), (1.0, 0.0), 1.0, 4).tolist() == [0.0, 0.0]
-    # mu_perp is mu_hat rotated a quarter turn counterclockwise: for mu = e_y,
-    # mu_perp = (-1, 0), so (1, 0) lands on the negative second coordinate.
-    out = w.psi_scaling((1.0, 0.0), (0.0, 1.0), 1.0, 4)
-    assert out.tolist() == [0.0, -0.5]
-
-
-def test_psi_scaling_is_affine():
-    rng = np.random.default_rng(5)
-    mu, s2, n = (0.3, -0.4), 0.7, 9
-    for _ in range(25):
-        p, q = rng.standard_normal(2), rng.standard_normal(2)
-        lam = rng.random()
-        mix = lam * p + (1 - lam) * q
-        lhs = w.psi_scaling(mix, mu, s2, n)
-        rhs = lam * w.psi_scaling(p, mu, s2, n) + (1 - lam) * w.psi_scaling(q, mu, s2, n)
-        assert np.allclose(lhs, rhs, atol=1e-12)
-
-
-def test_psi_scaling_errors():
-    with pytest.raises(ZeroDriftError):
-        w.psi_scaling((1.0, 0.0), (0.0, 0.0), 1.0, 4)
-    with pytest.raises(ZeroPerpVarianceError):
-        w.psi_scaling((1.0, 0.0), (1.0, 0.0), 0.0, 4)
-
-
-def test_center_of_mass():
-    n = 8
-    straight = np.column_stack([np.arange(n + 1, dtype=float), np.zeros(n + 1)])
-    com = w.center_of_mass(straight)
-    assert com[-1].tolist() == [(n + 1) / 2, 0.0]
-    one = w.sample_path(w.PearsonRayleigh(), 1, w.RngStream(9).generator())
-    assert np.allclose(w.center_of_mass(one)[1], one[1])
-
-
-def test_center_of_mass_hull_contained_in_walk_hull():
-    path = w.sample_path(w.PearsonRayleigh((0.1, 0.0)), 300, w.RngStream(13, 2).generator())
-    hull = geom2d.convex_hull(path)
-    for p in w.center_of_mass(path):
-        assert hull.contains(p)
 
 
 # ---------------------------------------------------------------------------
