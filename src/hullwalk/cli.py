@@ -146,11 +146,11 @@ def cmd_simulate(args) -> int:
         raise ConfigError(f"steps must be nonnegative, got {args.steps}")
     if args.replicates < 2:
         raise ConfigError(f"replicates must be >= 2, got {args.replicates}")
+    _guard_work("steps * replicates", args.steps * args.replicates, args.budget, args.force)
+    _guard_work("steps per path", args.steps, MAX_PATH_STEPS, args.force)
     checkpoints = sched.resolve(args.steps)
     if not checkpoints:
         raise ConfigError(f"schedule {sched.spec_string()!r} gives no checkpoints")
-    _guard_work("steps * replicates", args.steps * args.replicates, args.budget, args.force)
-    _guard_work("steps per path", args.steps, MAX_PATH_STEPS, args.force)
     ests = montecarlo.estimate(model, args.steps, sched, args.replicates, args.seed)
     if not np.isfinite([e.value for e in ests]).all():
         raise NumericFailure("NaN or infinity in results")

@@ -8,8 +8,10 @@ distance via support-function sampling, Steiner parallel-body area, and a
 Cauchy-formula quadrature that serves as an independent perimeter oracle.
 
 Perimeter, area and inradius have one implementation, ``_perimeter_area``
-and ``_inradius``: pure Python over the closed vertex cycle, used by every
-caller in the package.
+and ``_inradius``: pure Python over the closed vertex cycle.  Its one twin,
+``_perimeter_area_rows``, takes the hulls and functionals of many integer paths
+at once for exact enumeration, and ``test_perimeter_area_rows_matches_scalar``
+holds it ``==`` to ``_perimeter_area(_hull(...))``.
 
 All functions are pure; nothing here keeps mutable state, so everything is
 safe to call concurrently.
@@ -156,6 +158,47 @@ def _perimeter_area(hull: list) -> tuple[float, float]:
         L += math.hypot(x1 - x0, y1 - y0)
         A2 += x0 * y1 - x1 * y0
     return L, 0.5 * abs(A2)
+
+
+def _perimeter_area_rows(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_perimeter_area(_hull(row, 0.0))`` for every row of an (m, k, 2) array, batched.
+
+    Andrew's monotone chain runs over all rows in lockstep.  For integer
+    coordinates in a box of sides up to 2**26 (``_orient_bound`` 0) the sort
+    key and every turn are exact, so det <= 0 pops collinear and duplicate
+    points, and the edges are summed in the scalar cycle order with correctly
+    rounded lengths: the result is the scalar pair's, bit for bit.
+    """
+    m, k, _ = points.shape
+    x, y = points[..., 0], points[..., 1]
+    x_lo, y_lo = x.min(), y.min()
+    order = np.argsort((x - x_lo) * (y.max() - y_lo + 1.0) + (y - y_lo), axis=1)
+    x, y = np.take_along_axis(x, order, 1), np.take_along_axis(y, order, 1)
+    rows = np.arange(m)
+    L, A2 = np.zeros(m), np.zeros(m)
+    for sweep in (slice(None), slice(None, None, -1)):  # lower chain, then upper chain
+        # row i's chain is cx, cy[i * k : i * k + top[i]], flat for cheap gathers
+        cx, cy = np.zeros(m * k), np.zeros(m * k)
+        top = np.zeros(m, dtype=np.intp)
+        for px, py in zip(x[:, sweep].T, y[:, sweep].T):
+            live = rows[top >= 2]
+            while live.size:
+                a = live * k + top[live] - 1
+                ox, oy, ax, ay = cx[a - 1], cy[a - 1], cx[a], cy[a]
+                det = (ax - ox) * (py[live] - oy) - (ay - oy) * (px[live] - ox)
+                live = live[det <= 0.0]
+                top[live] -= 1
+                live = live[top[live] >= 2]
+            cx[rows * k + top], cy[rows * k + top] = px, py
+            top += 1
+        cx, cy = cx.reshape(m, k), cy.reshape(m, k)
+        for j in range(k - 1):
+            x0, y0, x1, y1 = cx[:, j], cy[:, j], cx[:, j + 1], cy[:, j + 1]
+            dx, dy = x1 - x0, y1 - y0
+            edge = j < top - 1
+            L += np.where(edge, np.sqrt(dx * dx + dy * dy), 0.0)
+            A2 += np.where(edge, x0 * y1 - x1 * y0, 0.0)
+    return L, 0.5 * np.abs(A2)
 
 
 # A float distance below this fraction of its edge's length may be rounding

@@ -88,7 +88,11 @@ class _Geometric(CheckpointSchedule):
             out.append(c)
             # clamped at n_steps, where the loop ends anyway: c * ratio may
             # overflow to infinity, which has no ceiling
-            c = max(c + 1, math.ceil(min(c * self.ratio, n_steps)))
+            try:
+                c = max(c + 1, math.ceil(min(c * self.ratio, n_steps)))
+            except OverflowError:  # c itself is beyond the float range: exact ceiling
+                num, den = self.ratio.as_integer_ratio()
+                c = max(c + 1, min(-(-c * num // den), n_steps))
         if not out or out[-1] != n_steps:
             out.append(n_steps)
         return out

@@ -6,9 +6,10 @@ for a fixed seed regardless of how many worker processes execute the paths.
 The worker count is capped by the HULLWALK_THREADS environment variable.
 
 The enumeration oracles walk the full product space of finite-support
-increment models and evaluate hull functionals exactly; they pin down the
-Spitzer-Widom and Barndorff-Nielsen/Baxter identities and the resampling
-martingale decomposition of the perimeter variance at small n.
+increment models and evaluate hull functionals exactly, a chunk of paths at a
+time through one batched integer hull; they pin down the Spitzer-Widom and
+Barndorff-Nielsen/Baxter identities and the resampling martingale
+decomposition of the perimeter variance at small n.
 """
 
 from __future__ import annotations
@@ -33,6 +34,9 @@ from .hullstream import CheckpointSchedule, _series_arrays
 from .walkgen import RngStream, sample_path
 
 ENUMERATION_BUDGET = 10**7
+# Paths per batched hull call in the enumeration: peak memory grows with it
+# (about 4 MB above the enumeration's arrays at 4096) and speed levels off.
+_ENUM_CHUNK = 4096
 THREADS_ENV_VAR = "HULLWALK_THREADS"
 
 
@@ -279,44 +283,30 @@ def _enumerate_functionals(model, n: int, budget: int):
 
     Entry j corresponds to the big-endian base-s expansion of j over the
     support, so reshaping to (s,) * n puts step i on axis i - 1, and
-    ``_sequence_weights(probs, n)`` gives the entries' weights.
+    ``_sequence_weights(probs, n)`` gives the entries' weights.  The paths go
+    through ``geom2d._perimeter_area_rows`` in chunks of ``_ENUM_CHUNK``; it is
+    exact for integer steps only, and any other table raises ValueError first.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     steps, probs = model.support()
-    _check_budget(len(steps), n, budget)
-    total = len(steps) ** n
-    step_tuples = [(float(x), float(y)) for x, y in steps]
-    # Every position lies within n steps of the origin, so one box bounds the
-    # orientation error for all paths (a factor 2 spare covers rounding in
-    # the position sums; integer steps keep every position an exact integer).
+    s = len(steps)
+    _check_budget(s, n, budget)
+    # every position lies within n steps of the origin (a factor 2 spare)
     step_arr = np.asarray(steps, dtype=float)
     reach_x, reach_y = np.abs(step_arr).max(axis=0)
-    bound = geom2d._orient_bound(
-        4.0 * n * float(reach_x),
-        4.0 * n * float(reach_y),
-        bool(np.array_equal(step_arr, np.round(step_arr))),
-    )
-    L_all = np.empty(total)
-    A_all = np.empty(total)
-    positions = [(0.0, 0.0)]
-    idx = 0
-    # Only L and A are needed; adding r would cost about 60 % more per path.
-    hull, perimeter_area = geom2d._hull, geom2d._perimeter_area
-
-    def dfs(depth: int):
-        nonlocal idx
-        if depth == n:
-            L_all[idx], A_all[idx] = perimeter_area(hull(positions, bound))
-            idx += 1
-            return
-        x, y = positions[-1]
-        for dx, dy in step_tuples:
-            positions.append((x + dx, y + dy))
-            dfs(depth + 1)
-            positions.pop()
-
-    dfs(0)
+    integral = bool(np.array_equal(step_arr, np.round(step_arr)))
+    if geom2d._orient_bound(4.0 * n * float(reach_x), 4.0 * n * float(reach_y), integral):
+        raise ValueError(f"exact enumeration needs integer steps of size up to 2**24 / n, got {steps.tolist()}")
+    total = s**n
+    L_all, A_all = np.empty(total), np.empty(total)
+    place = s ** np.arange(n - 1, -1, -1)
+    for lo in range(0, total, _ENUM_CHUNK):
+        hi = min(lo + _ENUM_CHUNK, total)
+        digits = np.arange(lo, hi)[:, None] // place % s
+        positions = np.zeros((hi - lo, n + 1, 2))
+        np.cumsum(step_arr[digits], axis=1, out=positions[:, 1:])
+        L_all[lo:hi], A_all[lo:hi] = geom2d._perimeter_area_rows(positions)
     return L_all, A_all, np.asarray(probs, dtype=float)
 
 

@@ -144,7 +144,9 @@ class _FiniteSupport:
     """A walk whose step is drawn uniformly from the rows of the class's ``steps``.
 
     The moments, the sampler and the support all follow from that table;
-    ``name`` is the model's spec string.
+    ``name`` is the model's spec string.  The table holds integers: exact
+    enumeration's batched hull is exact only on integer positions, and it
+    refuses any other table.
     """
 
     def moments(self) -> MomentSummary:

@@ -220,8 +220,12 @@ def test_clt_one_replicate_exit_one_before_sampling(monkeypatch, capsys):
          None, "collect_samples", "non-finite argument in model spec 'gauss:1,0,1,inf,0'"),
         (["simulate", "--model", "pr", "--steps", "10", "--replicates", "2"],
          "abc", None, "HULLWALK_THREADS must be an integer, got 'abc'"),
+        # the schedule's start is beyond the float range, where c * ratio overflows
+        (["simulate", "--model", "pr", "--steps", "9" * 401, "--replicates", "2",
+          "--schedule", "geometric:" + "1" * 310 + ",2"],
+         None, "estimate", "exceeds the budget guard 10000000000"),
     ],
-    ids=["schedule-inf-ratio", "exact-huge-steps", "model-nan", "model-inf", "threads-not-int"],
+    ids=["schedule-inf-ratio", "exact-huge-steps", "model-nan", "model-inf", "threads-not-int", "schedule-huge-start"],
 )
 def test_bad_input_exit_one(monkeypatch, capsys, argv, threads, forbidden, text):
     if threads is not None:

@@ -170,6 +170,53 @@ def test_kernel_degenerate_cycles():
     assert g._hull([(2.0, 0.0), (0.0, 0.0), (1.0, 0.0), (0.0, 0.0)], 0.0) == [(0.0, 0.0), (2.0, 0.0)]
 
 
+def _scalar_rows(rows: np.ndarray) -> list:
+    return [g._perimeter_area(g._hull(list(map(tuple, row)), 0.0)) for row in rows.tolist()]
+
+
+def test_exact_sum_sqrt_is_math_hypot_on_small_integers():
+    # the batched kernel's edge length; np.hypot differs at 132 of these pairs
+    x, y = np.meshgrid(np.arange(-100.0, 101.0), np.arange(-100.0, 101.0))
+    hypot = [math.hypot(a, b) for a, b in zip(x.ravel().tolist(), y.ravel().tolist())]
+    assert np.sqrt(x * x + y * y).ravel().tolist() == hypot
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[[0, 0]]],
+        [[[3, 4], [3, 4], [3, 4], [3, 4]]],  # all points equal
+        [[[0, 0], [27, 17]], [[0, 0], [43, 45]]],  # np.hypot rounds these edges differently
+        [[[0, 0], [27, 17], [0, 0], [27, 17], [-5, 9]]],  # duplicates of hull vertices
+        [[[0, 0], [1, 1], [2, 2], [3, 3], [1, 1], [-1, -1]]],  # one collinear run
+        [[[0, 0], [2, 0], [1, 0], [2, 2], [2, 1], [0, 2], [1, 2], [0, 1], [1, 1]]],  # collinear edges
+        [[[0, 0], [1, 0], [1, 1], [0, 1]], [[5, 5], [5, 5], [5, 5], [5, 6]]],
+    ],
+    ids=["point", "all-equal", "hypot-edges", "duplicates", "collinear-run", "collinear-edges", "mixed"],
+)
+def test_perimeter_area_rows_cases(rows):
+    arr = np.array(rows, dtype=float)
+    L, A = g._perimeter_area_rows(arr)
+    assert list(zip(L.tolist(), A.tolist())) == _scalar_rows(arr)
+
+
+# Small coordinates give duplicates and collinear runs; large ones reach the
+# box of side 2**26 within which the kernel is exact.
+kernel_ints = st.one_of(st.integers(-4, 4), st.integers(-(2**25), 2**25))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 12).flatmap(
+        lambda k: st.lists(st.lists(st.tuples(kernel_ints, kernel_ints), min_size=k, max_size=k), min_size=1, max_size=6)
+    )
+)
+def test_perimeter_area_rows_matches_scalar(rows):
+    arr = np.array(rows, dtype=float)
+    L, A = g._perimeter_area_rows(arr)
+    assert list(zip(L.tolist(), A.tolist())) == _scalar_rows(arr)
+
+
 def test_inradius_zero_on_edge_through_origin():
     # the float projection of the origin onto these edges rounds to about 1e-17
     seg = [[-0.1, -0.3], [0.2, 0.6]]

@@ -29,6 +29,15 @@ def test_geometric_schedule_resolution():
     assert hs.CheckpointSchedule.geometric(10, 1e308).resolve(100) == [10, 100]
 
 
+def test_geometric_schedule_beyond_the_float_range():
+    # c * ratio cannot convert c to a float here, so the ceiling is taken exactly
+    start, n = int("1" * 310), int("9" * 401)
+    cps = hs.CheckpointSchedule.geometric(start, 2.0).resolve(n)
+    assert cps[:2] == [start, 2 * start] and cps[-1] == n
+    assert all(b > a for a, b in zip(cps, cps[1:]))
+    assert hs.CheckpointSchedule.geometric(start, 1.25).resolve(n)[1] == -(-start * 5 // 4)
+
+
 def test_explicit_schedule_validation():
     sched = hs.CheckpointSchedule.explicit([0, 3, 7])
     assert sched.resolve(10) == [0, 3, 7]

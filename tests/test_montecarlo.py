@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
+from hullwalk import geom2d as g
 from hullwalk import montecarlo as mc
 from hullwalk import walkgen as w
 from hullwalk.errors import (
@@ -208,10 +209,14 @@ def test_martingale_check_carries_enumeration_moments():
 
 
 # (EL, VarL, EA, martingale rhs), recorded from the enumeration before the hull
-# functionals moved to geom2d's kernel; the enumeration must reproduce every bit.
+# functionals moved to geom2d's kernel, and again (hex6 7, st-binary 12) before
+# the per-path DFS gave way to the batched hull; the enumeration must
+# reproduce every bit.
 PINNED_EXACT = {
     ("lattice", 6): (6.670903358694336, 2.51780590175418, 2.017578125, 2.5178059017541954),
     ("hex6", 5): (6.793764141028925, 3.046138474780436, 1.8425925925925903, 3.046138474780353),
+    ("hex6", 7): (8.38600710543442, 4.584414445818678, 3.0430384087791587, 4.584414445818847),
+    ("st-binary", 12): (26.696608333866898, 1.3251393678660595, 23.71875, 1.3251393678660572),
 }
 
 
@@ -221,6 +226,48 @@ def test_exact_enumeration_bit_identical(spec, n):
     ex = mc.enumerate_exact(model, n)
     chk = mc.martingale_decomposition_check(model, n)
     assert (ex.EL, ex.VarL, ex.EA, chk.rhs) == PINNED_EXACT[spec, n]
+
+
+def _dfs_functionals(model, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """L and A of every step sequence, one scalar hull per path, in enumeration order."""
+    steps = [(float(x), float(y)) for x, y in model.support()[0]]
+    out = []
+
+    def dfs(positions):
+        if len(positions) == n + 1:
+            out.append(g._perimeter_area(g._hull(positions, 0.0)))
+            return
+        x, y = positions[-1]
+        for dx, dy in steps:
+            dfs([*positions, (x + dx, y + dy)])
+
+    dfs([(0.0, 0.0)])
+    L, A = np.array(out).T
+    return L, A
+
+
+@pytest.mark.parametrize(
+    "spec, n",
+    [("lattice", n) for n in range(8)] + [("hex6", n) for n in range(6)] + [("st-binary", n) for n in range(11)],
+)
+def test_enumeration_matches_scalar_dfs(spec, n):
+    # lattice 7 and hex6 5 span several chunks, the last one partial
+    model = w.parse_model(spec)
+    L, A, p = mc._enumerate_functionals(model, n, mc.ENUMERATION_BUDGET)
+    L_ref, A_ref = _dfs_functionals(model, n)
+    assert np.array_equal(L, L_ref) and np.array_equal(A, A_ref)
+    assert p.tolist() == model.support()[1].tolist()
+
+
+def test_enumeration_refuses_non_integer_steps():
+    class HalfSteps(w._FiniteSupport):
+        name = "half-steps"
+        steps = w._step_table([[0.5, 0], [-0.5, 0]])
+
+    with pytest.raises(ValueError, match="integer steps"):
+        mc._enumerate_functionals(HalfSteps(), 3, mc.ENUMERATION_BUDGET)
+    with pytest.raises(ValueError, match="integer steps"):
+        mc.martingale_decomposition_check(HalfSteps(), 3)
 
 
 def test_martingale_single_step_trivial():
