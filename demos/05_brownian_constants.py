@@ -33,7 +33,7 @@ print(f"  E a_1      = pi/2           = {BROWNIAN.E_a1:.6f}")
 print(f"  E atilde_1 = sqrt(2 pi)/3   = {BROWNIAN.E_atilde1:.6f}")
 print(f"  E range^2  = 4 log 2        = {BROWNIAN.E_range_sq:.6f}")
 
-rs = rogers_shepp_second_moment(1e-4)
+rs = rogers_shepp_second_moment()
 print(f"\nRogers-Shepp E[l_1^2] = {rs:.4f}  ->  Var l_1 = {rs - 8 * math.pi:.4f}")
 print(f"Goldman bridge-perimeter variance = {goldman_bridge_variance():.6f}")
 

@@ -2,9 +2,10 @@
 
 Simulation output is CSV with a '#'-prefixed metadata header; everything else
 is JSON.  Exit codes: 0 success, 1 configuration or validation error,
-2 numeric failure (a NaN or infinity in results), memory exhaustion or a
-worker process that died.  The HULLWALK_THREADS environment variable caps
-the worker processes (at most one per CPU) without changing any output.
+2 numeric failure (a NaN or infinity in results, or a walk that overflows
+the float range), memory exhaustion or a worker process that died.  The
+HULLWALK_THREADS environment variable caps the worker processes (at most one
+per CPU) without changing any output.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ def _build_parser() -> _Parser:
     sim.add_argument("--steps", type=int, required=True)
     sim.add_argument("--replicates", type=int, required=True)
     sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--schedule", default="geometric:10,1.25")
+    sim.add_argument("--schedule", default=CheckpointSchedule.geometric().spec_string())
     sim.add_argument("--out", default="-", help="CSV output path, '-' for stdout")
     sim.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     sim.add_argument("--force", action="store_true", help="override the budget guard")
@@ -333,7 +334,6 @@ def cmd_report(args) -> int:
     n = final["n"]
     if n < 1:
         raise ConfigError("final checkpoint must be at least 1")
-    R = int(meta.get("replicates", "0"))
     try:
         drift = lim.get("norm_mu", 0.0) > 0.0
         references, estimates = [], {}
@@ -344,7 +344,7 @@ def cmd_report(args) -> int:
             if not d:
                 continue
             references.append((q, *_REFERENCE[kind](lim[key])))
-            estimates[q] = montecarlo.MonteCarloEstimate(int(n), q, final[value] / d, final[se] / d, R)
+            estimates[q] = montecarlo.MonteCarloEstimate(int(n), q, final[value] / d, final[se] / d)
         if not estimates:
             raise ConfigError(f"{args.limits_in} holds no quantity to report for this model")
         report = limits.assemble_report(references, estimates)
@@ -381,7 +381,7 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError, HullwalkError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except NumericFailure as exc:
+    except (NumericFailure, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2
     except MemoryError:

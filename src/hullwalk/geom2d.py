@@ -281,8 +281,8 @@ class ConvexPolygon:
         """The vertices in units of 2**_exp (exact): no edge vector or product overflows."""
         return np.ldexp(self.vertices, -self._exp).tolist()
 
-    def contains(self, point, rtol: float = MEMBERSHIP_RTOL) -> bool:
-        """Membership test with tolerance ``rtol`` times the diameter.
+    def contains(self, point) -> bool:
+        """Membership test with tolerance MEMBERSHIP_RTOL times the diameter.
 
         Evaluated in units of a power of two that bounds every coordinate,
         so the scaling is exact and no difference or cross product overflows.
@@ -291,7 +291,7 @@ class ConvexPolygon:
         x = max(self._exp, _exponent(p))
         p = np.ldexp(p, -x)
         v = np.ldexp(self.vertices, -x)
-        tol = rtol * max(np.ldexp(self._unit_diameter, self._exp - x), np.ldexp(1.0e-30, -x))
+        tol = MEMBERSHIP_RTOL * max(np.ldexp(self._unit_diameter, self._exp - x), np.ldexp(1.0e-30, -x))
         if len(v) <= 2:
             return _inradius((v - p).tolist()) <= tol
         a, b = v, np.roll(v, -1, axis=0)
@@ -371,17 +371,17 @@ def _outward_normal_angles(poly: ConvexPolygon) -> np.ndarray:
     return np.arctan2(-e[:, 0], e[:, 1])
 
 
-def hausdorff(a: ConvexPolygon, b: ConvexPolygon, n_angles: int = 4096) -> float:
+def hausdorff(a: ConvexPolygon, b: ConvexPolygon) -> float:
     """Hausdorff distance via the support-function characterization.
 
     Evaluates sup over directions of |h_a - h_b| on a uniform grid of
-    ``n_angles`` angles joined with the outward edge-normal angles of both
-    polygons, so translations and parallel bodies are resolved exactly and
-    everything else to O(diameter / n_angles).
+    4096 angles joined with the outward edge-normal angles of both polygons,
+    so translations and parallel bodies are resolved exactly and everything
+    else to O(diameter / 4096).
     """
     angles = np.concatenate(
         [
-            np.arange(n_angles) * (2.0 * math.pi / n_angles),
+            np.arange(4096) * (2.0 * math.pi / 4096),
             _outward_normal_angles(a),
             _outward_normal_angles(b),
         ]

@@ -31,7 +31,6 @@ from .hullstream import _functionals_from_vertices, hull_vertices
 from .montecarlo import MonteCarloEstimate, _map_replicates, _mean_se, _var_se
 from .quadrature import adaptive_simpson
 from .walkgen import (
-    DEFAULT_BROWNIAN_GRID,
     MomentSummary,
     RngStream,
     SpacetimeGaussian,
@@ -65,23 +64,20 @@ BROWNIAN = BrownianConstants()
 # ---------------------------------------------------------------------------
 
 
-def sw_expected_perimeter(norm_means) -> float:
-    """Spitzer-Widom formula: E L_n = 2 sum_{k=1}^n E|S_k| / k.
-
-    ``norm_means`` lists E|S_k| for k = 1..n.
-    """
-    means = np.asarray(list(norm_means), dtype=float)
-    if len(means) == 0:
-        raise EmptyInputError("need E|S_k| for at least k = 1")
-    return 2.0 * float((means / np.arange(1, len(means) + 1)).sum())
-
-
 def kac_expected_max(plus_part_means) -> float:
     """Kac/Hunt identity: E max(0, T_1, ..., T_n) = sum_{k=1}^n E[T_k^+] / k."""
     means = np.asarray(list(plus_part_means), dtype=float)
     if len(means) == 0:
-        raise EmptyInputError("need E[T_k^+] for at least k = 1")
+        raise EmptyInputError("need the k = 1 mean at least")
     return float((means / np.arange(1, len(means) + 1)).sum())
+
+
+def sw_expected_perimeter(norm_means) -> float:
+    """Spitzer-Widom formula: E L_n = 2 sum_{k=1}^n E|S_k| / k.
+
+    ``norm_means`` lists E|S_k| for k = 1..n; the sum is Kac/Hunt's.
+    """
+    return 2.0 * kac_expected_max(norm_means)
 
 
 def bnb_expected_area(triangle_means, n: int) -> float:
@@ -136,11 +132,11 @@ class NormGaussianResult:
     bound_high: float
 
 
-def expected_norm_gaussian(Sigma, tol: float = 1e-8) -> NormGaussianResult:
+def expected_norm_gaussian(Sigma) -> NormGaussianResult:
     """E|Y| for Y ~ N(0, Sigma) via the circle integral.
 
     E|Y| = (8 pi)^(-1/2) * integral over the unit circle of |Sigma^(1/2) e|,
-    evaluated by adaptive quadrature, together with the rigorous sandwich
+    evaluated by adaptive quadrature to 1e-8, together with the rigorous sandwich
     sqrt(trace / pi) <= E|Y| <= sqrt(trace).
 
     Raises:
@@ -154,7 +150,7 @@ def expected_norm_gaussian(Sigma, tol: float = 1e-8) -> NormGaussianResult:
         ct, st = math.cos(theta), math.sin(theta)
         return math.sqrt(max(a * ct * ct + 2.0 * b * ct * st + c * st * st, 0.0))
 
-    integral = adaptive_simpson(integrand, 0.0, 2.0 * math.pi, tol=tol)
+    integral = adaptive_simpson(integrand, 0.0, 2.0 * math.pi, tol=1e-8)
     trace = a + c
     return NormGaussianResult(
         value=integral / math.sqrt(8.0 * math.pi),
@@ -191,7 +187,7 @@ def limit_constants(mom: MomentSummary) -> list[tuple[str, float]]:
         Sigma = mom.sigma_matrix()
         out.append(("4E_norm_Y", 4.0 * expected_norm_gaussian(Sigma).value))
         out.append(("pi_over_2_sqrt_det", 0.5 * math.pi * math.sqrt(max(mom.det_Sigma, 0.0))))
-    out.append(("ss_bound", 0.5 * math.pi * math.pi * mom.sigma2))
+    out.append(("ss_bound", u0_bounds(mom.sigma2)[1]))
     return out
 
 
@@ -212,7 +208,7 @@ def u0_bounds(trace_sigma: float, identity: bool = False) -> tuple[float, float]
     lower = (263.0 / 1080.0) * math.pi ** (-1.5) * math.exp(-144.0 / 25.0) * trace_sigma
     if identity:
         lower = max(lower, 0.4 * (1.0 - 8.0 / (25.0 * math.pi)) * math.exp(-25.0 * math.pi / 16.0))
-    upper = 0.5 * math.pi * math.pi * trace_sigma
+    upper = 0.5 * math.pi * math.pi * trace_sigma  # the Snyder-Steele bound
     return lower, upper
 
 
@@ -244,7 +240,13 @@ def _cosh_over_sinh(a: float, b: float) -> float:
     return math.exp(a - b) * (1.0 + math.exp(-2.0 * a)) / (1.0 - math.exp(-2.0 * b))
 
 
-def _rogers_shepp_c(theta: float, inner_tol: float, tail_tol: float) -> float:
+# E[l_1^2] to 1e-4: a quarter of it, over 4 pi, for the theta-integral, and a
+# tenth of that for each inner u-integral and for the tail it cuts off.
+_RS_OUTER_TOL = 0.25 * 1e-4 / (4.0 * math.pi)
+_RS_INNER_TOL = 0.1 * _RS_OUTER_TOL
+
+
+def _rogers_shepp_c(theta: float) -> float:
     """c(sin theta): the correlated-suprema product moment, as a u-integral."""
     cos_t = math.cos(theta)
     if theta >= math.pi / 2.0 or cos_t <= 0.0 and theta > 0.0:
@@ -261,12 +263,12 @@ def _rogers_shepp_c(theta: float, inner_tol: float, tail_tol: float) -> float:
         ratio = _cosh_over_sinh(u * abs(theta), u * math.pi / 2.0)
         return cos_t * ratio * math.tanh((2.0 * theta + math.pi) * u / 4.0)
 
-    u_max = max(math.log(max(2.0 * cos_t / (tail_tol * d), 4.0)) / d, 10.0)
-    return adaptive_simpson(integrand, 0.0, u_max, tol=inner_tol)
+    u_max = max(math.log(max(2.0 * cos_t / (_RS_INNER_TOL * d), 4.0)) / d, 10.0)
+    return adaptive_simpson(integrand, 0.0, u_max, tol=_RS_INNER_TOL)
 
 
-def rogers_shepp_second_moment(tol: float = 1e-4) -> float:
-    """E[l_1^2] as the Rogers-Shepp double integral, to absolute tolerance tol.
+def rogers_shepp_second_moment() -> float:
+    """E[l_1^2] as the Rogers-Shepp double integral, to absolute tolerance 1e-4.
 
     E[l_1^2] = 4 pi * integral over theta in [-pi/2, pi/2] of c(sin theta),
     where c is the product moment of the suprema of two unit Brownian motions
@@ -281,32 +283,22 @@ def rogers_shepp_second_moment(tol: float = 1e-4) -> float:
     Raises:
         NoConvergenceError: if either quadrature level stalls.
     """
-    if tol < 1e-6:
-        raise ValueError(f"tolerances below 1e-6 are not supported, got {tol}")
-    four_pi = 4.0 * math.pi
-    outer_tol = 0.25 * tol / four_pi
-    inner_tol = 0.1 * outer_tol
-    tail_tol = 0.1 * outer_tol
-
-    def outer(theta: float) -> float:
-        return _rogers_shepp_c(theta, inner_tol, tail_tol)
-
-    integral = adaptive_simpson(outer, -math.pi / 2.0, math.pi / 2.0, tol=outer_tol)
-    return four_pi * integral
+    integral = adaptive_simpson(_rogers_shepp_c, -math.pi / 2.0, math.pi / 2.0, tol=_RS_OUTER_TOL)
+    return 4.0 * math.pi * integral
 
 
-def rogers_shepp_var_l1(tol: float = 1e-4) -> float:
+def rogers_shepp_var_l1() -> float:
     """Var l_1 = E[l_1^2] - (E l_1)^2 via the Rogers-Shepp integral."""
-    return rogers_shepp_second_moment(tol) - 8.0 * math.pi
+    return rogers_shepp_second_moment() - 8.0 * math.pi
 
 
-def sine_integral(x: float, tol: float = 1e-10) -> float:
-    """Si(x) = integral of sin(t)/t over [0, x]."""
+def sine_integral(x: float) -> float:
+    """Si(x) = integral of sin(t)/t over [0, x], to absolute tolerance 1e-10."""
 
     def integrand(t: float) -> float:
         return 1.0 if abs(t) < 1e-12 else math.sin(t) / t
 
-    return adaptive_simpson(integrand, 0.0, x, tol=tol)
+    return adaptive_simpson(integrand, 0.0, x, tol=1e-10)
 
 
 def goldman_bridge_variance() -> float:
@@ -345,9 +337,7 @@ def _brownian_block(lo: int, hi: int, grid_n: int, master_seed: int) -> np.ndarr
     return out
 
 
-def brownian_constant_estimates(
-    grid_n: int = DEFAULT_BROWNIAN_GRID, replicates: int = 2000, master_seed: int = 0
-) -> dict[str, MonteCarloEstimate]:
+def brownian_constant_estimates(grid_n: int, replicates: int, master_seed: int) -> dict[str, MonteCarloEstimate]:
     """Monte Carlo estimates of the Brownian hull constants.
 
     Per replicate, one planar Brownian path gives l_1 and a_1 samples, one
@@ -363,7 +353,7 @@ def brownian_constant_estimates(
     l1, a1, at1, rsq, lb = (vals[:, j] for j in range(5))
 
     def est(stat: str, pair: tuple[float, float]) -> MonteCarloEstimate:
-        return MonteCarloEstimate(grid_n, stat, pair[0], pair[1], replicates)
+        return MonteCarloEstimate(grid_n, stat, pair[0], pair[1])
 
     return {
         "E_l1": est("E_l1", _mean_se(l1)),
@@ -377,14 +367,14 @@ def brownian_constant_estimates(
     }
 
 
-def brownian_reference_values(rs_tol: float = 1e-4) -> list[tuple]:
+def brownian_reference_values() -> list[tuple]:
     """Reference rows ``(quantity, theoretical, bounds)`` for the estimate keys, in report order."""
     return [
         ("E_l1", BROWNIAN.E_l1, None),
         ("E_a1", BROWNIAN.E_a1, None),
         ("E_at1", BROWNIAN.E_atilde1, None),
         ("E_r1_sq", BROWNIAN.E_range_sq, None),
-        ("var_l1", rogers_shepp_var_l1(rs_tol), u0_bounds(2.0, identity=True)),
+        ("var_l1", rogers_shepp_var_l1(), u0_bounds(2.0, identity=True)),
         ("var_bridge_l1", goldman_bridge_variance(), None),
         ("var_a1", None, v0_bounds()),
         ("var_at1", None, vplus_bounds()),
@@ -472,10 +462,10 @@ def interpolate_norm_means(ks, means, n: int) -> np.ndarray:
     return np.interp(np.arange(1, n + 1, dtype=float), ks, means)
 
 
-def log_spaced_ks(n: int, per_decade: int = 12) -> list[int]:
-    """Increasing integer grid from 1 to n, roughly uniform in log k."""
+def log_spaced_ks(n: int) -> list[int]:
+    """Increasing integer grid from 1 to n, about 12 points per decade of k."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    count = max(2, int(per_decade * math.log10(max(n, 2))) + 1)
+    count = max(2, int(12 * math.log10(max(n, 2))) + 1)
     grid = np.unique(np.round(np.logspace(0.0, math.log10(n), count)).astype(int))
     return [int(k) for k in grid]

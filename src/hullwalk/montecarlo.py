@@ -25,6 +25,7 @@ from scipy.special import ndtr
 from . import geom2d
 from .errors import (
     DegenerateDriftError,
+    InfiniteVarianceError,
     InvalidReplicatesError,
     SupportTooLargeError,
     TooFewSamplesError,
@@ -46,7 +47,6 @@ class MonteCarloEstimate:
     statistic: str
     value: float
     std_error: float
-    replicates: int
 
 
 def worker_count() -> int:
@@ -64,14 +64,14 @@ def worker_count() -> int:
     return cpus
 
 
-def _map_replicates(func, total: int, args: tuple, min_chunk: int = 64) -> np.ndarray:
+def _map_replicates(func, total: int, args: tuple) -> np.ndarray:
     """Run ``func(lo, hi, *args)`` over [0, total) and stack results by index.
 
     ``func`` must be a module-level function returning an array whose leading
-    axis has length hi - lo.  The output ordering depends only on replicate
-    indices, never on worker scheduling.
+    axis has length hi - lo.  Each worker gets at least 64 replicates, and the
+    output ordering depends only on replicate indices, never on scheduling.
     """
-    workers = min(worker_count(), max(1, total // min_chunk))
+    workers = min(worker_count(), max(1, total // 64))
     if workers <= 1:
         return func(0, total, *args)
     n_chunks = workers * 4
@@ -109,7 +109,7 @@ def _var_se(values: np.ndarray) -> tuple[float, float]:
     """Unbiased sample variance and its standard error from the fourth moment."""
     r = len(values)
     centered = values - values.mean()
-    s2 = float((centered @ centered) / (r - 1))
+    s2 = float(values.var(ddof=1))  # numpy's own pairwise sum: no BLAS, so no thread dependence
     m4 = float(np.mean(centered**4))
     var_of_var = (m4 - s2 * s2 * (r - 3) / (r - 1)) / r
     return s2, math.sqrt(max(var_of_var, 0.0))
@@ -139,7 +139,7 @@ def estimate(model, n: int, sched: CheckpointSchedule, replicates: int, master_s
             ("varA", _var_se(A)),
             ("meanR", _mean_se(r)),
         ):
-            out.append(MonteCarloEstimate(c, stat, v, se, replicates))
+            out.append(MonteCarloEstimate(c, stat, v, se))
     return out
 
 
@@ -150,7 +150,7 @@ def _terminal_block(lo: int, hi: int, model, n: int, column: int, master_seed: i
     return _series_block(lo, hi, model, n, (n,), master_seed)[:, 0, column]
 
 
-def collect_samples(model, n: int, replicates: int, master_seed: int, functional: str = "L") -> np.ndarray:
+def collect_samples(model, n: int, replicates: int, master_seed: int, functional: str) -> np.ndarray:
     """One terminal functional value (L, A, or r at step n) per replicate, indexed by replicate."""
     if replicates < 1:
         raise InvalidReplicatesError(f"need replicates >= 1, got {replicates}")
@@ -211,9 +211,9 @@ def ks_statistic(samples, cdf) -> float:
     return float(np.maximum(i / m - f, f - (i - 1) / m).max())
 
 
-def ks_threshold(m: int, level_constant: float = 1.36) -> float:
+def ks_threshold(m: int) -> float:
     """Asymptotic 5% critical value of the one-sample KS distance."""
-    return level_constant / math.sqrt(m)
+    return 1.36 / math.sqrt(m)
 
 
 @dataclass(frozen=True)
@@ -235,6 +235,7 @@ def clt_test(model, n: int, replicates: int, master_seed: int) -> CltResult:
         ValueError: if n < 1, before any sampling.
         InvalidReplicatesError: if replicates < 2, before any sampling.
         ZeroDriftError: if the model has zero mean increment.
+        InfiniteVarianceError: for models without a finite second moment.
         DegenerateDriftError: if fluctuations along the drift vanish
             (sigma2_mu = 0), where the Gaussian limit fails.
     """
@@ -245,7 +246,9 @@ def clt_test(model, n: int, replicates: int, master_seed: int) -> CltResult:
     mom = model.moments()
     if mom.norm_mu == 0.0:
         raise ZeroDriftError("the Gaussian perimeter limit needs a drift")
-    if not mom.finite_variance or mom.sigma2_mu is None or mom.sigma2_mu <= 0.0:
+    if not mom.finite_variance:
+        raise InfiniteVarianceError("the Gaussian perimeter limit needs a finite second moment")
+    if mom.sigma2_mu <= 0.0:
         raise DegenerateDriftError(
             "sigma2_mu = 0: increments fluctuate only orthogonally to the drift"
         )
@@ -261,13 +264,13 @@ def clt_test(model, n: int, replicates: int, master_seed: int) -> CltResult:
 # ---------------------------------------------------------------------------
 
 
-def _check_budget(s: int, k: int, budget: int):
-    # s**k >= 2**k > budget once s >= 2 and k passes the budget's bit length,
-    # so the power, which can have millions of digits, is built only below that.
-    if s >= 2 and k > budget.bit_length():
-        raise SupportTooLargeError(f"support^{k} = {s}^{k} exceeds the {budget} budget")
-    if s**k > budget:
-        raise SupportTooLargeError(f"support^{k} = {s**k} exceeds the {budget} budget")
+def _check_budget(s: int, k: int):
+    # s**k >= 2**k > the budget once s >= 2 and k passes its bit length, so
+    # the power, which can have millions of digits, is built only below that.
+    if s >= 2 and k > ENUMERATION_BUDGET.bit_length():
+        raise SupportTooLargeError(f"support^{k} = {s}^{k} exceeds the {ENUMERATION_BUDGET} budget")
+    if s**k > ENUMERATION_BUDGET:
+        raise SupportTooLargeError(f"support^{k} = {s**k} exceeds the {ENUMERATION_BUDGET} budget")
 
 
 def _sequence_weights(probs: np.ndarray, k: int) -> np.ndarray:
@@ -278,7 +281,7 @@ def _sequence_weights(probs: np.ndarray, k: int) -> np.ndarray:
     return w
 
 
-def _enumerate_functionals(model, n: int, budget: int):
+def _enumerate_functionals(model, n: int):
     """L and A of every length-n step sequence, plus the step probabilities.
 
     Entry j corresponds to the big-endian base-s expansion of j over the
@@ -291,7 +294,7 @@ def _enumerate_functionals(model, n: int, budget: int):
         raise ValueError(f"n must be nonnegative, got {n}")
     steps, probs = model.support()
     s = len(steps)
-    _check_budget(s, n, budget)
+    _check_budget(s, n)
     # every position lies within n steps of the origin (a factor 2 spare)
     step_arr = np.asarray(steps, dtype=float)
     reach_x, reach_y = np.abs(step_arr).max(axis=0)
@@ -310,7 +313,7 @@ def _enumerate_functionals(model, n: int, budget: int):
     return L_all, A_all, np.asarray(probs, dtype=float)
 
 
-def exact_position_distributions(model, n: int, budget: int = ENUMERATION_BUDGET):
+def exact_position_distributions(model, n: int):
     """Distribution of S_k for k = 1..n as point-mass dicts, by convolution.
 
     Cheaper than path enumeration (the state space is positions, not paths),
@@ -328,8 +331,8 @@ def exact_position_distributions(model, n: int, budget: int = ENUMERATION_BUDGET
                 key = (x + dx, y + dy)
                 nxt[key] = nxt.get(key, 0.0) + p * q
         current = nxt
-        if len(current) > budget:
-            raise SupportTooLargeError(f"position support exceeds the {budget} budget")
+        if len(current) > ENUMERATION_BUDGET:
+            raise SupportTooLargeError(f"position support exceeds the {ENUMERATION_BUDGET} budget")
         dists.append(current)
     return dists
 
@@ -374,16 +377,16 @@ def _exact_moments(L_all: np.ndarray, A_all: np.ndarray, w: np.ndarray) -> Exact
     return ExactMoments(el, float(np.einsum("i,i,i", w, dev, dev)), float(np.einsum("i,i", w, A_all)))
 
 
-def enumerate_exact(model, n: int, budget: int = ENUMERATION_BUDGET) -> ExactMoments:
+def enumerate_exact(model, n: int) -> ExactMoments:
     """Exact E[L_n], Var[L_n], E[A_n] by full enumeration of support^n.
 
     Raises:
         NotFiniteSupportError: for models with continuous increments.
-        SupportTooLargeError: if support^n exceeds the budget.
+        SupportTooLargeError: if support^n exceeds ENUMERATION_BUDGET.
     """
     if n == 0:
         return ExactMoments(0.0, 0.0, 0.0)
-    L_all, A_all, p = _enumerate_functionals(model, n, budget)
+    L_all, A_all, p = _enumerate_functionals(model, n)
     return _exact_moments(L_all, A_all, _sequence_weights(p, n))
 
 
@@ -399,7 +402,7 @@ class MartingaleCheck:
         return self.moments.VarL
 
 
-def martingale_decomposition_check(model, n: int, budget: int = ENUMERATION_BUDGET) -> MartingaleCheck:
+def martingale_decomposition_check(model, n: int) -> MartingaleCheck:
     """Exact check of Var L_n = sum_i E[D_i^2] for the resampling differences.
 
     D_i = E[L_n - L_n^(i) | first i steps], where L_n^(i) is the perimeter
@@ -410,13 +413,13 @@ def martingale_decomposition_check(model, n: int, budget: int = ENUMERATION_BUDG
 
     Raises:
         NotFiniteSupportError: for models with continuous increments.
-        SupportTooLargeError: if support^n or support^(n+1) exceeds the
-            budget; both are checked before enumerating.
+        SupportTooLargeError: if support^n or support^(n+1) exceeds
+            ENUMERATION_BUDGET; both are checked before enumerating.
     """
     s = len(model.support()[0])
-    _check_budget(s, n, budget)
-    _check_budget(s, n + 1, budget)
-    L_all, A_all, p = _enumerate_functionals(model, n, budget)
+    _check_budget(s, n)
+    _check_budget(s, n + 1)
+    L_all, A_all, p = _enumerate_functionals(model, n)
 
     rhs = 0.0
     for i in range(1, n + 1):

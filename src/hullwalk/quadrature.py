@@ -19,7 +19,7 @@ def _simpson(f, a, fa, b, fb):
     return m, fm, (b - a) / 6.0 * (fa + 4.0 * fm + fb)
 
 
-def adaptive_simpson(f, a: float, b: float, tol: float = 1e-8) -> float:
+def adaptive_simpson(f, a: float, b: float, tol: float) -> float:
     """Integrate ``f`` over [a, b] to absolute tolerance ``tol``.
 
     Raises:

@@ -45,9 +45,8 @@ class MomentSummary:
 
     ``sigma2_mu`` and ``sigma2_perp`` are the variances of the centered
     increment projected on the drift direction and its 90-degree
-    counterclockwise rotation; they are None when the drift vanishes, as is
-    ``rho_cross`` (the covariance of the two projections).  All second-moment
-    fields are None when the model has no finite variance.
+    counterclockwise rotation; they are None when the drift vanishes.  All
+    second-moment fields are None when the model has no finite variance.
     """
 
     mu: tuple[float, float]
@@ -56,7 +55,6 @@ class MomentSummary:
     sigma2_mu: float | None = None
     sigma2_perp: float | None = None
     det_Sigma: float | None = None
-    rho_cross: float | None = None
 
     @property
     def finite_variance(self) -> bool:
@@ -80,9 +78,8 @@ def _split_moments(mu: np.ndarray, Sigma: np.ndarray) -> MomentSummary:
         mu_perp = np.array([-mu_hat[1], mu_hat[0]])
         s_mu = float(mu_hat @ Sigma @ mu_hat)
         s_perp = float(mu_perp @ Sigma @ mu_perp)
-        rho = float(mu_hat @ Sigma @ mu_perp)
     else:
-        s_mu = s_perp = rho = None
+        s_mu = s_perp = None
     return MomentSummary(
         mu=(float(mu[0]), float(mu[1])),
         Sigma=((float(Sigma[0, 0]), float(Sigma[0, 1])), (float(Sigma[1, 0]), float(Sigma[1, 1]))),
@@ -90,7 +87,6 @@ def _split_moments(mu: np.ndarray, Sigma: np.ndarray) -> MomentSummary:
         sigma2_mu=s_mu,
         sigma2_perp=s_perp,
         det_Sigma=float(np.linalg.det(Sigma)),
-        rho_cross=rho,
     )
 
 
@@ -102,22 +98,26 @@ def psd_sqrt(cov: np.ndarray) -> np.ndarray:
 
     Raises:
         NotPSDError: if ``cov`` is not symmetric positive semidefinite.
+        ValueError: if its determinant, trace or root overflows the float range.
     """
     cov = np.asarray(cov, dtype=float)
     if cov.shape != (2, 2):
         raise NotPSDError(f"expected a 2x2 matrix, got shape {cov.shape}")
     if not np.isfinite(cov).all():
         raise NotPSDError("covariance must be finite")
-    scale = max(abs(cov).max(), 1.0)
-    if abs(cov[0, 1] - cov[1, 0]) > 1e-12 * scale:
+    # Python floats: an overflow is an inf, refused below, and never a warning
+    (a, b01), (b10, c) = cov.tolist()
+    scale = max(abs(a), abs(b01), abs(b10), abs(c), 1.0)
+    if abs(b01 - b10) > 1e-12 * scale:
         raise NotPSDError("covariance must be symmetric")
-    a, b, c = cov[0, 0], 0.5 * (cov[0, 1] + cov[1, 0]), cov[1, 1]
+    b = 0.5 * (b01 + b10)
     det = a * c - b * b
     if a < -1e-12 * scale or c < -1e-12 * scale or det < -1e-12 * scale * scale:
         raise NotPSDError("covariance must be positive semidefinite")
-    det = max(det, 0.0)
-    s = math.sqrt(det)
+    s = math.sqrt(max(det, 0.0))
     t_sq = max(a + c + 2.0 * s, 0.0)
+    if not math.isfinite(det + t_sq):
+        raise ValueError("covariance too large: its determinant, trace or root overflows")
     if t_sq == 0.0:
         return np.zeros((2, 2))
     t = math.sqrt(t_sq)
@@ -376,7 +376,8 @@ def sample_path(model, n: int, rng: np.random.Generator) -> np.ndarray:
         raise ValueError(f"n must be nonnegative, got {n}")
     pos = np.empty((n + 1, 2))
     pos[0] = 0.0
-    np.cumsum(model.sample_increments(n, rng), axis=0, out=pos[1:])
+    with np.errstate(over="raise"):  # an overflowing walk is a FloatingPointError
+        np.cumsum(model.sample_increments(n, rng), axis=0, out=pos[1:])
     return pos
 
 

@@ -229,7 +229,7 @@ def test_acceptance_09a_rogers_shepp_target():
     (mpmath gives 26.1598 at u = 420 and reaches 26.1677 at u = 499.8), so it
     is reported next to the result but not asserted.
     """
-    value = lm.rogers_shepp_second_moment(1e-4)
+    value = lm.rogers_shepp_second_moment()
     var_l1 = value - 8 * math.pi
     ref_var = RS_SECOND_MOMENT - 8 * math.pi
     ok = abs(value - RS_SECOND_MOMENT) <= 0.01 and abs(var_l1 - ref_var) <= 0.01
@@ -250,7 +250,7 @@ def test_acceptance_09b_goldman_and_pi_sum():
     ok_p = abs(ps - math.pi) <= 0.005
     # the derived variance lies inside the rigorous u0 bounds
     lo, hi = lm.u0_bounds(2.0, identity=True)
-    ok_b = lo <= lm.rogers_shepp_var_l1(1e-4) <= hi
+    ok_b = lo <= lm.rogers_shepp_var_l1() <= hi
     ok = ok_g and ok_p and ok_b
     _report(
         "9b",

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -78,7 +79,7 @@ def test_numeric_failure_exit_code(monkeypatch, tmp_path):
     import hullwalk.montecarlo as mc
 
     def bad_estimate(model, n, sched, replicates, seed):
-        return [mc.MonteCarloEstimate(n, s, float("nan"), 0.0, replicates)
+        return [mc.MonteCarloEstimate(n, s, float("nan"), 0.0)
                 for s in ("meanL", "varL", "meanA", "varA", "meanR")]
 
     monkeypatch.setattr(cli.montecarlo, "estimate", bad_estimate)
@@ -137,6 +138,12 @@ def test_clt_degenerate_and_zero_drift_exit_one(capsys):
     assert main(["clt", "--model", "st-binary", "--steps", "50", "--replicates", "50"]) == 1
     assert "orthogonal" in capsys.readouterr().err
     assert main(["clt", "--model", "pr", "--steps", "50", "--replicates", "50"]) == 1
+
+
+def test_clt_heavy_tail_names_infinite_variance(capsys):
+    # the variance is infinite, not zero along the drift
+    assert main(["clt", "--model", "pareto:1.5,1,0", "--steps", "50", "--replicates", "50"]) == 1
+    _assert_one_error_line(capsys, "CLT check not applicable: the Gaussian perimeter limit needs a finite second moment")
 
 
 def test_clt_pass_and_histogram(tmp_path):
@@ -236,6 +243,33 @@ def test_bad_input_exit_one(monkeypatch, capsys, argv, threads, forbidden, text)
     _assert_one_error_line(capsys, text)
 
 
+# A walk that leaves the float range is a numeric failure (exit 2), and a
+# covariance too large for its root is refused when the model is built
+# (exit 1); either way stderr holds one line and no numpy warning.
+@pytest.mark.parametrize(
+    "argv, code, text",
+    [
+        (["simulate", "--model", "pr:1e308,0", "--steps", "5000", "--replicates", "2", "--schedule", "explicit:5000"],
+         2, "numeric failure: overflow"),
+        (["clt", "--model", "pr:1e308,0", "--steps", "100", "--replicates", "4"], 2, "numeric failure: overflow"),
+        (["simulate", "--model", "gauss:1,0,1,1e308,0", "--steps", "100", "--replicates", "2"],
+         2, "numeric failure: overflow"),
+        (["simulate", "--model", "gauss:1e308,0,1e308", "--steps", "100", "--replicates", "2"],
+         1, "error: covariance too large"),
+        (["limits", "--model", "gauss:1e308,0,1e308"], 1, "error: covariance too large"),
+        (["limits", "--model", "gauss:1,1e200,1"], 1, "error: covariance too large"),
+    ],
+    ids=["simulate-pr", "clt-pr", "simulate-gauss-mean", "simulate-gauss-cov", "limits-gauss-cov", "limits-gauss-offdiag"],
+)
+def test_overflow_one_stderr_line(tmp_path, capsys, argv, code, text):
+    outputs = ["--out", str(tmp_path / "o")] + (["--hist-out", str(tmp_path / "h")] if argv[0] == "clt" else [])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + outputs) == code
+    err = capsys.readouterr().err
+    assert err.startswith(text) and err.count("\n") == 1
+
+
 def test_bad_schedule_spec_names_the_spec(capsys):
     argv = ["simulate", "--model", "pr", "--steps", "10", "--replicates", "2", "--schedule"]
     for spec in ("geometric:1", "geometric:2,x", "linear:1,2"):
@@ -331,20 +365,35 @@ def test_exact_enumerates_once(monkeypatch, tmp_path):
     assert data["mdiff_check"] == "ok"
 
 
-def test_exact_independent_of_blas_threads():
-    # OpenBLAS splits long dot products across threads and rounds per split;
-    # exact's sums must not go through it
+def _outputs_under_blas_threads(argv) -> list[str]:
+    """stdout of ``python -m hullwalk *argv`` at OPENBLAS_NUM_THREADS 1 and 2, timestamp removed.
+
+    OpenBLAS splits long dot products across threads and rounds per split, so
+    a sum that goes through it differs between the two.
+    """
     src = str(Path(__file__).resolve().parent.parent / "src")
     outputs = []
     for threads in ("1", "2"):
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run([sys.executable, "-m", "hullwalk", "exact", "--model", "hex6", "--steps", "6"],
-                              env=env, capture_output=True, timeout=600)
+        proc = subprocess.run([sys.executable, "-m", "hullwalk", *argv], env=env, capture_output=True,
+                              text=True, timeout=600)
         assert proc.returncode == 0, proc.stderr[-2000:]
-        outputs.append(proc.stdout)
+        outputs.append(_strip_timestamp(proc.stdout))
+    return outputs
+
+
+def test_exact_independent_of_blas_threads():
+    outputs = _outputs_under_blas_threads(["exact", "--model", "hex6", "--steps", "6"])
     assert outputs[0] == outputs[1]
     assert json.loads(outputs[0])["mdiff_check"] == "ok"
+
+
+def test_simulate_variance_independent_of_blas_threads():
+    # at 20000 replicates the variance's sum over replicates is long enough to split
+    outputs = _outputs_under_blas_threads(["simulate", "--model", "gauss", "--steps", "20", "--replicates", "20000",
+                                           "--seed", "3", "--schedule", "explicit:20"])
+    assert outputs[0] == outputs[1]
 
 
 def test_exact_budget_checked_before_enumerating(monkeypatch, capsys):
@@ -360,7 +409,7 @@ def test_json_with_nan_exit_two(monkeypatch, tmp_path, capsys, command):
     # right-hand side of the martingale check
     if command == "constants":
         def nan_se(*args):
-            return {q: cli.montecarlo.MonteCarloEstimate(8, q, 1.0, math.nan, 2)
+            return {q: cli.montecarlo.MonteCarloEstimate(8, q, 1.0, math.nan)
                     for q, _, _ in cli.limits.brownian_reference_values()}
 
         monkeypatch.setattr(cli.limits, "brownian_constant_estimates", nan_se)

@@ -253,7 +253,7 @@ def _dfs_functionals(model, n: int) -> tuple[np.ndarray, np.ndarray]:
 def test_enumeration_matches_scalar_dfs(spec, n):
     # lattice 7 and hex6 5 span several chunks, the last one partial
     model = w.parse_model(spec)
-    L, A, p = mc._enumerate_functionals(model, n, mc.ENUMERATION_BUDGET)
+    L, A, p = mc._enumerate_functionals(model, n)
     L_ref, A_ref = _dfs_functionals(model, n)
     assert np.array_equal(L, L_ref) and np.array_equal(A, A_ref)
     assert p.tolist() == model.support()[1].tolist()
@@ -265,7 +265,7 @@ def test_enumeration_refuses_non_integer_steps():
         steps = w._step_table([[0.5, 0], [-0.5, 0]])
 
     with pytest.raises(ValueError, match="integer steps"):
-        mc._enumerate_functionals(HalfSteps(), 3, mc.ENUMERATION_BUDGET)
+        mc._enumerate_functionals(HalfSteps(), 3)
     with pytest.raises(ValueError, match="integer steps"):
         mc.martingale_decomposition_check(HalfSteps(), 3)
 

@@ -23,7 +23,7 @@ def test_pearson_rayleigh_zero_drift_moments():
     assert m.Sigma == ((0.5, 0.0), (0.0, 0.5))
     assert m.sigma2 == 1.0
     assert m.det_Sigma == 0.25
-    assert m.sigma2_mu is None and m.rho_cross is None
+    assert m.sigma2_mu is None and m.sigma2_perp is None
 
 
 def test_pearson_rayleigh_drift_moments():
@@ -31,7 +31,6 @@ def test_pearson_rayleigh_drift_moments():
     assert m.sigma2_mu == 0.5
     assert 4.0 * m.sigma2_mu == 2.0
     assert m.sigma2_perp == 0.5
-    assert m.rho_cross == 0.0
 
 
 def test_spacetime_binary_moments():
@@ -171,31 +170,29 @@ def test_sample_path_bits_pinned(k, spec):
     assert pos.tolist() == SAMPLE_PATH_PINS[spec]
 
 
-# (mu, Sigma, sigma2, sigma2_mu, sigma2_perp, det_Sigma, rho_cross,
-# finite_variance) of parse_model(spec).moments(), recorded when the
+# (mu, Sigma, sigma2, sigma2_mu, sigma2_perp, det_Sigma, finite_variance) of parse_model(spec).moments(), recorded when the
 # finite-support moments were still typed out per model; deriving them from
 # the step tables must reproduce every bit.
-MOMENT_FIELDS = ("mu", "Sigma", "sigma2", "sigma2_mu", "sigma2_perp", "det_Sigma", "rho_cross", "finite_variance")
+MOMENT_FIELDS = ("mu", "Sigma", "sigma2", "sigma2_mu", "sigma2_perp", "det_Sigma", "finite_variance")
 MOMENT_PINS = {
-    "lattice": ((0.0, 0.0), ((0.5, 0.0), (0.0, 0.5)), 1.0, None, None, 0.25, None, True),
+    "lattice": ((0.0, 0.0), ((0.5, 0.0), (0.0, 0.5)), 1.0, None, None, 0.25, True),
     "hex6": (
         (0.0, 0.0), ((0.6666666666666666, -0.3333333333333333), (-0.3333333333333333, 0.6666666666666666)),
-        1.3333333333333333, None, None, 0.3333333333333333, None, True,
+        1.3333333333333333, None, None, 0.3333333333333333, True,
     ),
-    "pr": ((0.0, 0.0), ((0.5, 0.0), (0.0, 0.5)), 1.0, None, None, 0.25, None, True),
+    "pr": ((0.0, 0.0), ((0.5, 0.0), (0.0, 0.5)), 1.0, None, None, 0.25, True),
     "pr:0.2,-0.1": (
-        (0.2, -0.1), ((0.5, 0.0), (0.0, 0.5)), 1.0, 0.49999999999999994, 0.49999999999999994, 0.25,
-        -6.297461701680791e-18, True,
+        (0.2, -0.1), ((0.5, 0.0), (0.0, 0.5)), 1.0, 0.49999999999999994, 0.49999999999999994, 0.25, True,
     ),
-    "gauss": ((0.0, 0.0), ((1.0, 0.0), (0.0, 1.0)), 2.0, None, None, 1.0, None, True),
+    "gauss": ((0.0, 0.0), ((1.0, 0.0), (0.0, 1.0)), 2.0, None, None, 1.0, True),
     "gauss:1,0.3,2,0.5,-0.25": (
-        (0.5, -0.25), ((1.0, 0.3), (0.3, 2.0)), 3.0, 0.96, 2.04, 1.91, -0.22000000000000003, True,
+        (0.5, -0.25), ((1.0, 0.3), (0.3, 2.0)), 3.0, 0.96, 2.04, 1.91, True,
     ),
-    "st-binary": ((1.0, 0.0), ((0.0, 0.0), (0.0, 1.0)), 1.0, 0.0, 1.0, 0.0, 0.0, True),
-    "st-gauss": ((1.0, 0.0), ((0.0, 0.0), (0.0, 1.0)), 1.0, 0.0, 1.0, 0.0, 0.0, True),
-    "pareto:1.5": ((0.0, 0.0), None, None, None, None, None, None, False),
-    "pareto:2.5,0.3,0": ((0.3, 0.0), ((2.5, 0.0), (0.0, 2.5)), 5.0, 2.5, 2.5, 6.250000000000001, 0.0, True),
-    "pareto:3,0.1,0": ((0.1, 0.0), ((1.5, 0.0), (0.0, 1.5)), 3.0, 1.5, 1.5, 2.25, 0.0, True),
+    "st-binary": ((1.0, 0.0), ((0.0, 0.0), (0.0, 1.0)), 1.0, 0.0, 1.0, 0.0, True),
+    "st-gauss": ((1.0, 0.0), ((0.0, 0.0), (0.0, 1.0)), 1.0, 0.0, 1.0, 0.0, True),
+    "pareto:1.5": ((0.0, 0.0), None, None, None, None, None, False),
+    "pareto:2.5,0.3,0": ((0.3, 0.0), ((2.5, 0.0), (0.0, 2.5)), 5.0, 2.5, 2.5, 6.250000000000001, True),
+    "pareto:3,0.1,0": ((0.1, 0.0), ((1.5, 0.0), (0.0, 1.5)), 3.0, 1.5, 1.5, 2.25, True),
 }
 
 
