@@ -48,7 +48,7 @@ print("\nlimit constants:")
 for name, value in limit_constants(model.moments()):
     print(f"  {name:>18} = {value:.6f}")
 zero = parse_model("pr")
-print("zero-drift counterpart: 4 E|Y| =", 4 * expected_norm_gaussian(zero.moments().sigma_matrix()).value,
+print("zero-drift counterpart: 4 E|Y| =", 4 * expected_norm_gaussian(zero.moments().sigma_matrix()),
       " (simulated slope is near 3.53 at accessible n)")
 
 # --- drifted perimeter is asymptotically Gaussian --------------------------

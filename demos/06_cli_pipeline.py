@@ -1,4 +1,7 @@
-"""The CSV/JSON pipeline: simulate -> limits -> report, via the CLI.
+"""The CSV/JSON pipeline: simulate -> report, via the CLI, with the limits it checks.
+
+report rebuilds the model from the CSV's '# model:' line and checks the run
+against the same constants and bounds that limits writes for that model.
 
 Run:  python3 demos/06_cli_pipeline.py
 """
@@ -25,10 +28,12 @@ with tempfile.TemporaryDirectory() as tmp:
         "--replicates", ARGS["replicates"], "--seed", ARGS["seed"], "--out", str(csv_path),
     )
     cli("limits", "--model", ARGS["model"], "--out", str(lim_path))
-    cli("report", "--in", str(csv_path), "--limits", str(lim_path), "--out", str(rep_path))
+    cli("report", "--in", str(csv_path), "--out", str(rep_path))
 
     print("\nfirst lines of the CSV:")
     print("\n".join(csv_path.read_text().splitlines()[:10]))
+
+    print("\nlimits:", json.dumps(json.loads(lim_path.read_text())))
 
     print("\nverdicts:")
     report = json.loads(rep_path.read_text())

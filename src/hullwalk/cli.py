@@ -1,11 +1,16 @@
 """Command-line interface: simulate | limits | clt | constants | exact | report.
 
-Simulation output is CSV with a '#'-prefixed metadata header; everything else
-is JSON.  Exit codes: 0 success, 1 configuration or validation error,
-2 numeric failure (a NaN or infinity in results, or a walk that overflows
-the float range), memory exhaustion or a worker process that died.  The
-HULLWALK_THREADS environment variable caps the worker processes (at most one
-per CPU) without changing any output.
+Each command reads its options and at most one input file, and writes one
+output, to --out or stdout.  Simulation output is CSV with a '#'-prefixed
+metadata header; everything else is JSON.  ``report`` rebuilds the model from
+the CSV's '# model:' line and checks the run against that model's limits.
+simulate, clt and constants refuse, before any sampling, a run over 10^10
+steps in all or a path over 2^25 steps; no option overrides either guard.
+Exit codes: 0 success, 1 configuration or validation error, 2 numeric failure
+(a NaN or infinity in results, or a walk, a hull functional or an aggregate
+that overflows the float range), memory exhaustion or a worker process that
+died.  The HULLWALK_THREADS environment variable caps the worker processes
+(at most one per CPU) without changing any output.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from .errors import HullwalkError
 from .hullstream import CheckpointSchedule
 from .walkgen import DEFAULT_BROWNIAN_GRID, parse_model
 
-DEFAULT_BUDGET = 10**10
+MAX_WORK = 10**10  # steps (or grid points) times replicates
 # One path peaks at 40-50 bytes a step (its draws, positions and hull series),
 # so the longest path allowed needs under 2 GB.
 MAX_PATH_STEPS = 2**25
@@ -53,14 +58,10 @@ class NumericFailure(Exception):
     """NaN encountered in results (exit code 2)."""
 
 
-def _guard_work(label: str, work: int, budget: int = DEFAULT_BUDGET, force: bool | None = None):
-    """Refuse a run whose work exceeds the budget, before any sampling.
-
-    ``force`` is None for commands that have no --force option.
-    """
-    if work > budget and not force:
-        hint = "" if force is None else "; pass --force to run anyway"
-        raise ConfigError(f"{label} = {work} exceeds the budget guard {budget}{hint}")
+def _guard_work(label: str, work: int, limit: int):
+    """Refuse a run whose work exceeds ``limit``, before any sampling."""
+    if work > limit:
+        raise ConfigError(f"{label} = {work} exceeds the budget guard {limit}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -80,20 +81,16 @@ def _build_parser() -> _Parser:
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--schedule", default=CheckpointSchedule.geometric().spec_string())
     sim.add_argument("--out", default="-", help="CSV output path, '-' for stdout")
-    sim.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    sim.add_argument("--force", action="store_true", help="override the budget guard")
 
     lim = sub.add_parser("limits", help="limit constants and variance bounds for a model")
     lim.add_argument("--model", required=True)
     lim.add_argument("--out", default="-")
-    lim.add_argument("--allow-heavy", action="store_true", help="permit infinite-variance models")
 
     clt = sub.add_parser("clt", help="KS normality check of the scaled perimeter")
     clt.add_argument("--model", default="pr:0.2,0")
     clt.add_argument("--steps", type=int, default=5000)
     clt.add_argument("--replicates", type=int, default=10000)
     clt.add_argument("--seed", type=int, default=0)
-    clt.add_argument("--hist-out", default="hullwalk_clt_hist.csv")
     clt.add_argument("--out", default="-")
 
     con = sub.add_parser("constants", help="Monte Carlo estimates of the Brownian hull constants")
@@ -107,9 +104,8 @@ def _build_parser() -> _Parser:
     ext.add_argument("--steps", type=int, required=True)
     ext.add_argument("--out", default="-")
 
-    rep = sub.add_parser("report", help="match a simulate CSV against limits JSON")
+    rep = sub.add_parser("report", help="match a simulate CSV against its model's limits")
     rep.add_argument("--in", dest="csv_in", required=True, help="simulate CSV")
-    rep.add_argument("--limits", dest="limits_in", required=True, help="limits JSON")
     rep.add_argument("--out", default="-")
     return p
 
@@ -131,10 +127,6 @@ def _write_json(path: str, doc: dict):
     _write_text(path, text + "\n")
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -147,13 +139,13 @@ def cmd_simulate(args) -> int:
         raise ConfigError(f"steps must be nonnegative, got {args.steps}")
     if args.replicates < 2:
         raise ConfigError(f"replicates must be >= 2, got {args.replicates}")
-    _guard_work("steps * replicates", args.steps * args.replicates, args.budget, args.force)
-    _guard_work("steps per path", args.steps, MAX_PATH_STEPS, args.force)
+    _guard_work("steps * replicates", args.steps * args.replicates, MAX_WORK)
+    _guard_work("steps per path", args.steps, MAX_PATH_STEPS)
     checkpoints = sched.resolve(args.steps)
     if not checkpoints:
         raise ConfigError(f"schedule {sched.spec_string()!r} gives no checkpoints")
     ests = montecarlo.estimate(model, args.steps, sched, args.replicates, args.seed)
-    if not np.isfinite([e.value for e in ests]).all():
+    if not np.isfinite([(e.value, e.std_error) for e in ests]).all():
         raise NumericFailure("NaN or infinity in results")
     by_key = {(e.n, e.statistic): e for e in ests}
 
@@ -171,20 +163,18 @@ def cmd_simulate(args) -> int:
         lines.append("# heavy_tail: true")
     lines.append(CSV_COLUMNS)
     for n in checkpoints:
-        row = [_fmt(getattr(by_key[n, stat], attr)) for _, stat, attr in _CSV_FIELDS]
+        row = [format(getattr(by_key[n, stat], attr), ".17g") for _, stat, attr in _CSV_FIELDS]
         lines.append(",".join([str(n)] + row))
     _write_text(args.out, "\n".join(lines) + "\n")
     return 0
 
 
-def cmd_limits(args) -> int:
-    model = parse_model(args.model)
+def _model_limits(model) -> dict:
+    """The limit constants and bounds of ``model``, keyed as ``limits`` writes them.
+
+    A model with infinite variance gets its drift rate only, and ``heavy_tail``.
+    """
     mom = model.moments()
-    if not mom.finite_variance and not args.allow_heavy:
-        raise ConfigError(
-            f"model {model.spec_string()!r} has infinite variance; "
-            "no limit constants apply (pass --allow-heavy to emit drift only)"
-        )
     out: dict = {"model": model.spec_string(), "norm_mu": mom.norm_mu}
     if mom.finite_variance:
         out.update(dict(limits.limit_constants(mom)))
@@ -197,23 +187,23 @@ def cmd_limits(args) -> int:
     else:
         out["2norm_mu"] = 2.0 * mom.norm_mu
         out["heavy_tail"] = True
-    _write_json(args.out, out)
+    return out
+
+
+def cmd_limits(args) -> int:
+    _write_json(args.out, _model_limits(parse_model(args.model)))
     return 0
 
 
 def cmd_clt(args) -> int:
     model = parse_model(args.model)
-    _guard_work("steps * replicates", args.steps * args.replicates)
+    _guard_work("steps * replicates", args.steps * args.replicates, MAX_WORK)
     _guard_work("steps per path", args.steps, MAX_PATH_STEPS)
     try:
         result = montecarlo.clt_test(model, args.steps, args.replicates, args.seed)
     except HullwalkError as exc:
         raise ConfigError(f"CLT check not applicable: {exc}") from exc
     counts, edges = np.histogram(result.z, bins=64, range=(-4.0, 4.0))
-    hist_lines = ["bin_left,bin_right,count"]
-    for lo, hi, c in zip(edges[:-1], edges[1:], counts):
-        hist_lines.append(f"{_fmt(lo)},{_fmt(hi)},{int(c)}")
-    _write_text(args.hist_out, "\n".join(hist_lines) + "\n")
     verdict = {
         "D": result.D,
         "threshold": result.threshold,
@@ -221,14 +211,15 @@ def cmd_clt(args) -> int:
         "model": model.spec_string(),
         "steps": args.steps,
         "replicates": args.replicates,
-        "histogram": args.hist_out,
+        "bin_edges": edges.tolist(),
+        "counts": counts.tolist(),
     }
     _write_json(args.out, verdict)
     return 0
 
 
 def cmd_constants(args) -> int:
-    _guard_work("grid * replicates", args.grid * args.replicates)
+    _guard_work("grid * replicates", args.grid * args.replicates, MAX_WORK)
     _guard_work("grid steps per path", args.grid, MAX_PATH_STEPS)
     ests = limits.brownian_constant_estimates(args.grid, args.replicates, args.seed)
     report = limits.assemble_report(limits.brownian_reference_values(), ests)
@@ -326,36 +317,32 @@ _REFERENCE = {
 
 def cmd_report(args) -> int:
     meta, rows = _read_simulate_csv(args.csv_in)
-    with open(args.limits_in) as fh:
-        lim = json.load(fh)
-    if not isinstance(lim, dict):
-        raise ConfigError(f"{args.limits_in} does not hold a JSON object")
+    if "model" not in meta:
+        raise ConfigError(f"{args.csv_in} has no '# model:' line")
+    lim = _model_limits(parse_model(meta["model"]))
     final = rows[-1]
     n = final["n"]
     if n < 1:
         raise ConfigError("final checkpoint must be at least 1")
-    try:
-        drift = lim.get("norm_mu", 0.0) > 0.0
-        references, estimates = [], {}
-        for q, regime, key, kind, value, se, divisor in _REPORT_ROWS:
-            if regime not in (None, drift) or key not in lim:
-                continue
-            d = divisor(lim, n)
-            if not d:
-                continue
-            references.append((q, *_REFERENCE[kind](lim[key])))
-            estimates[q] = montecarlo.MonteCarloEstimate(int(n), q, final[value] / d, final[se] / d)
-        if not estimates:
-            raise ConfigError(f"{args.limits_in} holds no quantity to report for this model")
-        report = limits.assemble_report(references, estimates)
-    except TypeError as exc:
-        raise ConfigError(f"{args.limits_in} holds a value of the wrong type: {exc}") from exc
-    if meta.get("heavy_tail") == "true" or lim.get("heavy_tail") is True:
+    drift = lim["norm_mu"] > 0.0
+    references, estimates = [], {}
+    for q, regime, key, kind, value, se, divisor in _REPORT_ROWS:
+        if regime not in (None, drift) or key not in lim:
+            continue
+        d = divisor(lim, n)
+        if not d:
+            continue
+        references.append((q, *_REFERENCE[kind](lim[key])))
+        estimates[q] = montecarlo.MonteCarloEstimate(int(n), q, final[value] / d, final[se] / d)
+    if not estimates:
+        raise ConfigError(f"model {lim['model']!r} has no quantity to report")
+    report = limits.assemble_report(references, estimates)
+    if "heavy_tail" in lim:
         # the standard errors estimate an infinite variance, so no verdict holds
         report = [dataclasses.replace(r, verdict="untested") for r in report]
     out = {
         "source": args.csv_in,
-        "limits": args.limits_in,
+        "model": lim["model"],
         "n": int(n),
         "report": [r.to_dict() for r in report],
     }

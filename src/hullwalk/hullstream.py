@@ -27,6 +27,7 @@ from scipy.spatial import QhullError as _QhullError
 
 from . import geom2d
 from .errors import ScheduleOutOfRangeError
+from .walkgen import spec_number
 
 DEFAULT_GEOMETRIC_START = 10
 DEFAULT_GEOMETRIC_RATIO = 1.25
@@ -98,7 +99,7 @@ class _Geometric(CheckpointSchedule):
         return out
 
     def spec_string(self) -> str:
-        return f"geometric:{self.start},{self.ratio:g}"
+        return f"geometric:{self.start},{spec_number(self.ratio)}"
 
 
 @dataclass(frozen=True)
@@ -146,14 +147,20 @@ def _prefilter(points: np.ndarray) -> np.ndarray:
     The directions (1, 0), (1, 1), (0, 1), (-1, 1) and their negatives have
     entries in {0, +-1}, so the projections x, x + y, y, y - x are exact
     elementwise sums and the extremes need no matrix product (no BLAS call).
-    The eight edge tests then run in two reused buffers.
+    The eight edge tests then run in two reused buffers, in units of a power
+    of two that bounds every coordinate: the scaling is exact, so the kept
+    points are the same at every scale, and no product overflows.
     """
-    x = np.ascontiguousarray(points[:, 0])
-    y = np.ascontiguousarray(points[:, 1])
+    x = points[:, 0].copy()
+    y = points[:, 1].copy()
+    box = [x.argmax(), y.argmax(), x.argmin(), y.argmin()]
+    unit = 2.0 ** -max(geom2d._exponent(points[box]), -1023)  # capped where it would overflow
+    x *= unit
+    y *= unit
     t = x + y
     u = y - x
-    idx = [x.argmax(), t.argmax(), y.argmax(), u.argmax(), x.argmin(), t.argmin(), y.argmin(), u.argmin()]
-    corners = points[idx]
+    idx = [box[0], t.argmax(), box[1], u.argmax(), box[2], t.argmin(), box[3], u.argmin()]
+    corners = np.column_stack([x[idx], y[idx]])
     if (corners == corners[0]).all():  # every point is the same point
         return points[:1]
     scale = float(np.abs(corners).max(initial=0.0))

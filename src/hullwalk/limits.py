@@ -125,19 +125,11 @@ def partial_sum_pi(k: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NormGaussianResult:
-    value: float
-    bound_low: float
-    bound_high: float
-
-
-def expected_norm_gaussian(Sigma) -> NormGaussianResult:
+def expected_norm_gaussian(Sigma) -> float:
     """E|Y| for Y ~ N(0, Sigma) via the circle integral.
 
     E|Y| = (8 pi)^(-1/2) * integral over the unit circle of |Sigma^(1/2) e|,
-    evaluated by adaptive quadrature to 1e-8, together with the rigorous sandwich
-    sqrt(trace / pi) <= E|Y| <= sqrt(trace).
+    evaluated by adaptive quadrature to 1e-8.
 
     Raises:
         NotPSDError: if Sigma is not symmetric positive semidefinite.
@@ -150,13 +142,7 @@ def expected_norm_gaussian(Sigma) -> NormGaussianResult:
         ct, st = math.cos(theta), math.sin(theta)
         return math.sqrt(max(a * ct * ct + 2.0 * b * ct * st + c * st * st, 0.0))
 
-    integral = adaptive_simpson(integrand, 0.0, 2.0 * math.pi, tol=1e-8)
-    trace = a + c
-    return NormGaussianResult(
-        value=integral / math.sqrt(8.0 * math.pi),
-        bound_low=math.sqrt(trace / math.pi),
-        bound_high=math.sqrt(trace),
-    )
+    return adaptive_simpson(integrand, 0.0, 2.0 * math.pi, tol=1e-8) / math.sqrt(8.0 * math.pi)
 
 
 def limit_constants(mom: MomentSummary) -> list[tuple[str, float]]:
@@ -185,7 +171,7 @@ def limit_constants(mom: MomentSummary) -> list[tuple[str, float]]:
         )
     else:
         Sigma = mom.sigma_matrix()
-        out.append(("4E_norm_Y", 4.0 * expected_norm_gaussian(Sigma).value))
+        out.append(("4E_norm_Y", 4.0 * expected_norm_gaussian(Sigma)))
         out.append(("pi_over_2_sqrt_det", 0.5 * math.pi * math.sqrt(max(mom.det_Sigma, 0.0))))
     out.append(("ss_bound", u0_bounds(mom.sigma2)[1]))
     return out

@@ -98,21 +98,27 @@ def _series_block(lo: int, hi: int, model, n: int, checkpoints: tuple, master_se
 
 
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
-    m = float(values.mean())
-    if len(values) < 2:
-        return m, 0.0
-    s = float(values.std(ddof=1))
-    return m, s / math.sqrt(len(values))
+    """Sample mean and its standard error s / sqrt(R).
+
+    It runs in numpy floats under np.errstate, so an overflow or an infinite
+    value raises FloatingPointError instead of giving a NaN or an infinity.
+    """
+    with np.errstate(over="raise", invalid="raise"):
+        return float(values.mean()), float(values.std(ddof=1)) / math.sqrt(len(values))
 
 
 def _var_se(values: np.ndarray) -> tuple[float, float]:
-    """Unbiased sample variance and its standard error from the fourth moment."""
+    """Unbiased sample variance and its standard error from the fourth moment.
+
+    Raises FloatingPointError on an overflow or an infinite value, as ``_mean_se``.
+    """
     r = len(values)
-    centered = values - values.mean()
-    s2 = float(values.var(ddof=1))  # numpy's own pairwise sum: no BLAS, so no thread dependence
-    m4 = float(np.mean(centered**4))
-    var_of_var = (m4 - s2 * s2 * (r - 3) / (r - 1)) / r
-    return s2, math.sqrt(max(var_of_var, 0.0))
+    with np.errstate(over="raise", invalid="raise"):
+        centered = values - values.mean()
+        s2 = values.var(ddof=1)  # numpy's own pairwise sum: no BLAS, so no thread dependence
+        m4 = np.mean(centered**4)
+        var_of_var = (m4 - s2 * s2 * (r - 3) / (r - 1)) / r
+    return float(s2), math.sqrt(max(float(var_of_var), 0.0))
 
 
 def estimate(model, n: int, sched: CheckpointSchedule, replicates: int, master_seed: int):
@@ -151,13 +157,17 @@ def _terminal_block(lo: int, hi: int, model, n: int, column: int, master_seed: i
 
 
 def collect_samples(model, n: int, replicates: int, master_seed: int, functional: str) -> np.ndarray:
-    """One terminal functional value (L, A, or r at step n) per replicate, indexed by replicate."""
+    """One terminal functional value (L, A, or r at step n) per replicate, indexed by replicate.
+
+    Raises:
+        FloatingPointError: if a value is not finite.
+    """
     if replicates < 1:
         raise InvalidReplicatesError(f"need replicates >= 1, got {replicates}")
     col = _FUNCTIONAL_COLUMN[functional]
     vals = _map_replicates(_terminal_block, replicates, (model, n, col, master_seed))
     if not np.isfinite(vals).all():
-        raise ValueError("sample values must be finite")
+        raise FloatingPointError("sample values must be finite")
     return vals
 
 

@@ -129,6 +129,12 @@ def psd_sqrt(cov: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def spec_number(x: float) -> str:
+    """The shortest text that parses back to the float ``x``, without a trailing '.0'."""
+    text = repr(float(x))
+    return text[:-2] if text.endswith(".0") else text
+
+
 def _as_pair(value) -> tuple[float, float]:
     x, y = value
     return (float(x), float(y))
@@ -224,7 +230,7 @@ class PearsonRayleigh(_ContinuousSupport):
     def spec_string(self) -> str:
         if self.drift == (0.0, 0.0):
             return "pr"
-        return f"pr:{self.drift[0]:g},{self.drift[1]:g}"
+        return "pr:" + ",".join(map(spec_number, self.drift))
 
 
 @dataclass(frozen=True)
@@ -261,10 +267,8 @@ class Gaussian(_ContinuousSupport):
 
     def spec_string(self) -> str:
         (a, b), (_, c) = self.cov
-        mx, my = self.mean
-        if (mx, my) == (0.0, 0.0):
-            return f"gauss:{a:g},{b:g},{c:g}"
-        return f"gauss:{a:g},{b:g},{c:g},{mx:g},{my:g}"
+        args = (a, b, c) if self.mean == (0.0, 0.0) else (a, b, c, *self.mean)
+        return "gauss:" + ",".join(map(spec_number, args))
 
 
 @dataclass(frozen=True)
@@ -316,9 +320,8 @@ class ParetoDirection(_ContinuousSupport):
         return out
 
     def spec_string(self) -> str:
-        if self.drift == (0.0, 0.0):
-            return f"pareto:{self.alpha:g}"
-        return f"pareto:{self.alpha:g},{self.drift[0]:g},{self.drift[1]:g}"
+        args = (self.alpha,) if self.drift == (0.0, 0.0) else (self.alpha, *self.drift)
+        return "pareto:" + ",".join(map(spec_number, args))
 
 
 # ---------------------------------------------------------------------------

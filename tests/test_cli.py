@@ -1,5 +1,6 @@
 """CLI contracts: CSV/JSON schemas, exit codes, determinism, round trips."""
 
+import argparse
 import json
 import math
 import os
@@ -66,13 +67,13 @@ def test_simulate_rejects_bad_covariance(capsys):
     assert "positive semidefinite" in capsys.readouterr().err
 
 
-def test_simulate_budget_guard(tmp_path):
+def test_simulate_budget_guard(monkeypatch, tmp_path, capsys):
+    _forbid(monkeypatch, cli.montecarlo, "estimate")
+    out = tmp_path / "x.csv"
     assert main(["simulate", "--model", "lattice", "--steps", "1000000", "--replicates", "100000",
-                 "--out", str(tmp_path / "x.csv")]) == 1
-    small = ["simulate", "--model", "lattice", "--steps", "100", "--replicates", "10",
-             "--budget", "500", "--out", str(tmp_path / "y.csv")]
-    assert main(small) == 1
-    assert main(small + ["--force"]) == 0
+                 "--out", str(out)]) == 1
+    _assert_one_error_line(capsys, "steps * replicates = 100000000000 exceeds the budget guard 10000000000")
+    assert not out.exists()
 
 
 def test_numeric_failure_exit_code(monkeypatch, tmp_path):
@@ -121,12 +122,12 @@ def test_limits_json_zero_drift(tmp_path):
     assert abs(data["pi_over_2_sqrt_det"] - math.pi / 4) < 1e-12
 
 
-def test_limits_heavy_tail_gate(tmp_path, capsys):
-    assert main(["limits", "--model", "pareto:1.5"]) == 1
-    assert main(["limits", "--model", "pareto:1.5", "--allow-heavy", "--out",
-                 str(tmp_path / "h.json")]) == 0
-    data = json.loads((tmp_path / "h.json").read_text())
-    assert data["heavy_tail"] is True
+def test_limits_heavy_tail_drift_only(tmp_path):
+    # an infinite-variance model has no limit constant beyond its drift rate
+    out = tmp_path / "h.json"
+    assert main(["limits", "--model", "pareto:1.5,1,0", "--out", str(out)]) == 0
+    assert json.loads(out.read_text()) == {"model": "pareto:1.5,1,0", "norm_mu": 1.0, "2norm_mu": 2.0,
+                                           "heavy_tail": True}
 
 
 # ---------------------------------------------------------------------------
@@ -147,19 +148,17 @@ def test_clt_heavy_tail_names_infinite_variance(capsys):
 
 
 def test_clt_pass_and_histogram(tmp_path):
-    hist = tmp_path / "h.csv"
     out = tmp_path / "v.json"
     code = main(["clt", "--model", "pr:0.2,0", "--steps", "1000", "--replicates", "1000",
-                 "--seed", "3", "--hist-out", str(hist), "--out", str(out)])
+                 "--seed", "3", "--out", str(out)])
     assert code == 0
     verdict = json.loads(out.read_text())
     assert set(verdict) >= {"D", "threshold", "pass"}
     assert verdict["pass"] is True
-    rows = hist.read_text().splitlines()
-    assert rows[0] == "bin_left,bin_right,count"
-    assert len(rows) == 65  # 64 bins on [-4, 4]
-    lefts = [float(r.split(",")[0]) for r in rows[1:]]
-    assert math.isclose(lefts[0], -4.0) and len(lefts) == 64
+    # 64 bins on [-4, 4], in the same JSON
+    edges, counts = verdict["bin_edges"], verdict["counts"]
+    assert edges == [-4.0 + k / 8 for k in range(65)] and len(counts) == 64
+    assert all(isinstance(c, int) for c in counts) and 990 <= sum(counts) <= 1000
 
 
 def test_clt_samples_once(monkeypatch, tmp_path):
@@ -173,7 +172,7 @@ def test_clt_samples_once(monkeypatch, tmp_path):
 
     monkeypatch.setattr(cli.montecarlo, "collect_samples", counted)
     assert main(["clt", "--model", "pr:0.2,0", "--steps", "100", "--replicates", "100",
-                 "--hist-out", str(tmp_path / "h.csv"), "--out", str(tmp_path / "v.json")]) == 0
+                 "--out", str(tmp_path / "v.json")]) == 0
     assert len(calls) == 1
 
 
@@ -199,10 +198,10 @@ def test_clt_budget_guard_before_sampling(monkeypatch, capsys):
 def test_clt_zero_steps_exit_one_before_sampling(monkeypatch, tmp_path, capsys):
     # zero steps give L = 0 on every path, so the standardised samples are 0/0
     _forbid(monkeypatch, cli.montecarlo, "collect_samples")
-    hist = tmp_path / "hist.csv"
-    assert main(["clt", "--steps", "0", "--replicates", "50", "--hist-out", str(hist)]) == 1
+    out = tmp_path / "v.json"
+    assert main(["clt", "--steps", "0", "--replicates", "50", "--out", str(out)]) == 1
     _assert_one_error_line(capsys, "n >= 1")
-    assert not hist.exists()
+    assert not out.exists()
 
 
 def test_clt_one_replicate_exit_one_before_sampling(monkeypatch, capsys):
@@ -243,9 +242,10 @@ def test_bad_input_exit_one(monkeypatch, capsys, argv, threads, forbidden, text)
     _assert_one_error_line(capsys, text)
 
 
-# A walk that leaves the float range is a numeric failure (exit 2), and a
-# covariance too large for its root is refused when the model is built
-# (exit 1); either way stderr holds one line and no numpy warning.
+# A walk, a hull functional or an aggregate that leaves the float range is a
+# numeric failure (exit 2), and a covariance too large for its root is
+# refused when the model is built (exit 1); either way stderr holds one line
+# and no numpy warning, and nothing is written.
 @pytest.mark.parametrize(
     "argv, code, text",
     [
@@ -258,16 +258,29 @@ def test_bad_input_exit_one(monkeypatch, capsys, argv, threads, forbidden, text)
          1, "error: covariance too large"),
         (["limits", "--model", "gauss:1e308,0,1e308"], 1, "error: covariance too large"),
         (["limits", "--model", "gauss:1,1e200,1"], 1, "error: covariance too large"),
+        # the fourth power in the standard error of var_A overflows
+        (["simulate", "--model", "pr:1e78,0", "--steps", "100", "--replicates", "4", "--schedule", "explicit:100"],
+         2, "numeric failure: overflow"),
+        # the squares in Var L_n overflow
+        (["simulate", "--model", "pr:1e306,0", "--steps", "100", "--replicates", "2"], 2, "numeric failure: overflow"),
+        # the perimeters themselves are infinite
+        (["clt", "--model", "pr:1e306,1", "--steps", "100", "--replicates", "4"],
+         2, "numeric failure: sample values must be finite"),
+        # coordinates past 1e154, where the hull prefilter's products overflowed
+        (["simulate", "--model", "pr:1e303,0", "--steps", "5000", "--replicates", "2", "--schedule", "explicit:5000"],
+         2, "numeric failure: overflow"),
     ],
-    ids=["simulate-pr", "clt-pr", "simulate-gauss-mean", "simulate-gauss-cov", "limits-gauss-cov", "limits-gauss-offdiag"],
+    ids=["simulate-pr", "clt-pr", "simulate-gauss-mean", "simulate-gauss-cov", "limits-gauss-cov", "limits-gauss-offdiag",
+         "simulate-var-se", "simulate-var", "clt-functional", "simulate-prefilter"],
 )
 def test_overflow_one_stderr_line(tmp_path, capsys, argv, code, text):
-    outputs = ["--out", str(tmp_path / "o")] + (["--hist-out", str(tmp_path / "h")] if argv[0] == "clt" else [])
+    out = tmp_path / "o"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main(argv + outputs) == code
+        assert main(argv + ["--out", str(out)]) == code
     err = capsys.readouterr().err
     assert err.startswith(text) and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_bad_schedule_spec_names_the_spec(capsys):
@@ -302,11 +315,64 @@ def test_path_length_guard_before_sampling(monkeypatch, capsys, argv, module, na
     _assert_one_error_line(capsys, f"{label} = 4000000000 exceeds the budget guard {cli.MAX_PATH_STEPS}")
 
 
-def test_simulate_force_overrides_path_length_guard(monkeypatch):
-    _forbid(monkeypatch, cli.montecarlo, "estimate")
-    argv = ["simulate", "--model", "pr", "--steps", "4000000000", "--replicates", "2", "--force"]
-    with pytest.raises(AssertionError, match="ran past the budget guard"):
-        main(argv)
+# The options that were retired are refused like any unknown option, before
+# any work: usage, then one error line.
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["simulate", "--model", "pr", "--steps", "4000000000", "--replicates", "2", "--force"], "--force"),
+        (["simulate", "--model", "pr", "--steps", "10", "--replicates", "2", "--budget", "5"], "--budget 5"),
+        (["limits", "--model", "pareto:1.5", "--allow-heavy"], "--allow-heavy"),
+        (["clt", "--steps", "10", "--replicates", "10", "--hist-out", "x"], "--hist-out x"),
+        (["report", "--in", "x", "--limits", "x"], "--limits x"),
+    ],
+    ids=["simulate-force", "simulate-budget", "limits-allow-heavy", "clt-hist-out", "report-limits"],
+)
+def test_retired_flag_exit_one(monkeypatch, capsys, argv, flag):
+    for name in ("estimate", "collect_samples"):
+        _forbid(monkeypatch, cli.montecarlo, name)
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("usage: hullwalk") and err[-1] == f"error: unrecognized arguments: {flag}"
+
+
+def test_parser_options():
+    (sub,) = [a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {name: [o for a in p._actions for o in a.option_strings if o not in ("-h", "--help")]
+               for name, p in sub.choices.items()}
+    assert options == {
+        "simulate": ["--model", "--steps", "--replicates", "--seed", "--schedule", "--out"],
+        "limits": ["--model", "--out"],
+        "clt": ["--model", "--steps", "--replicates", "--seed", "--out"],
+        "constants": ["--grid", "--replicates", "--seed", "--out"],
+        "exact": ["--model", "--steps", "--out"],
+        "report": ["--in", "--out"],
+    }
+    assert not any(a.nargs == 0 for p in sub.choices.values() for a in p._actions if a.dest != "help")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--model", "lattice", "--steps", "20", "--replicates", "4"],
+        ["limits", "--model", "pr"],
+        ["clt", "--steps", "20", "--replicates", "20"],
+        ["constants", "--grid", "64", "--replicates", "4"],
+        ["exact", "--model", "lattice", "--steps", "2"],
+        ["report"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_command_writes_only_its_out(monkeypatch, tmp_path, argv):
+    csv_p = tmp_path / "r.csv"
+    assert main(["simulate", "--model", "pr:0.2,0", "--steps", "50", "--replicates", "4", "--out", str(csv_p)]) == 0
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    if argv == ["report"]:
+        argv = ["report", "--in", str(csv_p)]
+    assert main([*argv, "--out", "out"]) == 0
+    assert os.listdir(cwd) == ["out"]
 
 
 def test_simulate_empty_schedule_exit_one_before_sampling(monkeypatch, tmp_path, capsys):
@@ -442,31 +508,35 @@ def test_constants_small_run(tmp_path):
 
 @pytest.mark.parametrize("model", ["pr:0.2,0", "pr"])
 def test_report_pipeline(tmp_path, model):
-    csv_p, lim_p, rep_p = tmp_path / "r.csv", tmp_path / "l.json", tmp_path / "rep.json"
+    csv_p, rep_p = tmp_path / "r.csv", tmp_path / "rep.json"
     assert main(["simulate", "--model", model, "--steps", "4000", "--replicates", "300",
                  "--seed", "2", "--out", str(csv_p)]) == 0
-    assert main(["limits", "--model", model, "--out", str(lim_p)]) == 0
-    assert main(["report", "--in", str(csv_p), "--limits", str(lim_p), "--out", str(rep_p)]) == 0
+    assert main(["report", "--in", str(csv_p), "--out", str(rep_p)]) == 0
     rep = json.loads(rep_p.read_text())
-    assert rep["n"] == 4000
+    assert (rep["source"], rep["model"], rep["n"]) == (str(csv_p), model, 4000)
     for row in rep["report"]:
         assert row["verdict"] in ("consistent", "violated", "untested")
     # the big-picture check: nothing contradicts the theory on a healthy run
     assert all(row["verdict"] != "violated" for row in rep["report"])
 
 
-def _report(tmp_path, lim_args, sim_args=("--model", "pr:0.2,0")):
-    csv_p, lim_p, rep_p = tmp_path / "r.csv", tmp_path / "l.json", tmp_path / "rep.json"
-    assert main(["simulate", *sim_args, "--steps", "1000", "--replicates", "100", "--seed", "4",
+def _simulate(tmp_path, model="pr:0.2,0", steps=1000, seed=4) -> Path:
+    csv_p = tmp_path / "r.csv"
+    assert main(["simulate", "--model", model, "--steps", str(steps), "--replicates", "100", "--seed", str(seed),
                  "--out", str(csv_p)]) == 0
-    assert main(["limits", *lim_args, "--out", str(lim_p)]) == 0
-    return csv_p, lim_p, rep_p
+    return csv_p
+
+
+def _report_rows(csv_p, tmp_path) -> list[dict]:
+    rep_p = tmp_path / "rep.json"
+    assert main(["report", "--in", str(csv_p), "--out", str(rep_p)]) == 0
+    return json.loads(rep_p.read_text())["report"]
 
 
 def test_report_snyder_steele_row(tmp_path):
-    csv_p, lim_p, rep_p = _report(tmp_path, ["--model", "pr:0.2,0"])
-    assert main(["report", "--in", str(csv_p), "--limits", str(lim_p), "--out", str(rep_p)]) == 0
-    row = json.loads(rep_p.read_text())["report"][-1]
+    csv_p, lim_p = _simulate(tmp_path), tmp_path / "l.json"
+    assert main(["limits", "--model", "pr:0.2,0", "--out", str(lim_p)]) == 0
+    row = _report_rows(csv_p, tmp_path)[-1]
     ss = json.loads(lim_p.read_text())["ss_bound"]
     assert (row["quantity"], row["bound_low"], row["bound_high"]) == ("ss_bound", 0.0, ss)
     assert row["verdict"] == "consistent"
@@ -475,79 +545,79 @@ def test_report_snyder_steele_row(tmp_path):
     cols = lines[-1].split(",")
     cols[3] = repr(10.0 * ss * float(cols[0]))
     csv_p.write_text("\n".join(lines[:-1] + [",".join(cols)]) + "\n")
-    assert main(["report", "--in", str(csv_p), "--limits", str(lim_p), "--out", str(rep_p)]) == 0
-    row = json.loads(rep_p.read_text())["report"][-1]
+    row = _report_rows(csv_p, tmp_path)[-1]
     assert (row["quantity"], row["verdict"]) == ("ss_bound", "violated")
 
 
 def test_report_heavy_tail(tmp_path, capsys):
     # zero drift: no row applies; drift: the 2|mu| row alone
-    csv_p, lim_p, rep_p = _report(tmp_path, ["--model", "pareto:1.5", "--allow-heavy"],
-                                  ("--model", "pareto:1.5"))
-    assert main(["report", "--in", str(csv_p), "--limits", str(lim_p)]) == 1
-    _assert_one_error_line(capsys, "no quantity")
-    csv_p, lim_p, rep_p = _report(tmp_path, ["--model", "pareto:1.5,1,0", "--allow-heavy"],
-                                  ("--model", "pareto:1.5,1,0"))
-    assert main(["report", "--in", str(csv_p), "--limits", str(lim_p), "--out", str(rep_p)]) == 0
-    assert [r["quantity"] for r in json.loads(rep_p.read_text())["report"]] == ["2norm_mu"]
+    csv_p = _simulate(tmp_path, "pareto:1.5")
+    assert main(["report", "--in", str(csv_p)]) == 1
+    _assert_one_error_line(capsys, "model 'pareto:1.5' has no quantity to report")
+    csv_p = _simulate(tmp_path, "pareto:1.5,1,0")
+    assert [r["quantity"] for r in _report_rows(csv_p, tmp_path)] == ["2norm_mu"]
 
 
 def test_report_heavy_tail_rows_untested(tmp_path):
-    # Pareto(1.5) steps have infinite variance, so no standard error holds;
-    # the CSV header alone, or the limits file alone, marks the run as heavy
-    files = {}
-    for model in ("pareto:1.5,1,0", "pr:1,0"):
-        csv_p, lim_p = tmp_path / f"{model}.csv", tmp_path / f"{model}.json"
-        assert main(["simulate", "--model", model, "--steps", "2000", "--replicates", "100",
-                     "--seed", "2", "--out", str(csv_p)]) == 0
-        assert main(["limits", "--model", model, "--allow-heavy", "--out", str(lim_p)]) == 0
-        files[model] = (csv_p, lim_p)
-
-    def report(csv_model, lim_model):
-        rep_p = tmp_path / "rep.json"
-        assert main(["report", "--in", str(files[csv_model][0]), "--limits", str(files[lim_model][1]),
-                     "--out", str(rep_p)]) == 0
-        return json.loads(rep_p.read_text())["report"]
-
-    (row,) = report("pareto:1.5,1,0", "pareto:1.5,1,0")
+    # Pareto(1.5) steps have infinite variance, so no standard error holds
+    csv_p = _simulate(tmp_path, "pareto:1.5,1,0", 2000, 2)
+    (row,) = _report_rows(csv_p, tmp_path)
     assert row["quantity"] == "2norm_mu" and row["verdict"] == "untested"
     # the estimate, 4.7 standard errors from 2|mu| = 2, is still reported
     assert math.isclose(row["estimate"], 2.1749, abs_tol=1e-4)
     assert math.isclose(row["std_error"], 0.0371, abs_tol=1e-4)
-    for csv_model, lim_model in (("pareto:1.5,1,0", "pr:1,0"), ("pr:1,0", "pareto:1.5,1,0")):
-        rows = report(csv_model, lim_model)
-        assert rows and all(r["verdict"] == "untested" and r["std_error"] > 0 for r in rows)
-    assert "consistent" in {r["verdict"] for r in report("pr:1,0", "pr:1,0")}
+    # the model line alone decides: the heavy_tail line is not read
+    text = csv_p.read_text()
+    csv_p.write_text(text.replace("# heavy_tail: true\n", ""))
+    assert _report_rows(csv_p, tmp_path) == [row]
+    csv_p = _simulate(tmp_path, "pr:1,0", 2000, 2)
+    assert "consistent" in {r["verdict"] for r in _report_rows(csv_p, tmp_path)}
+
+
+def test_report_judges_the_csv_model(tmp_path):
+    # the same rows, relabelled with another model, are judged against that
+    # model's constants: Var L_n / n is near 4 sigma2_mu = 2 for pr:0.2,0, but
+    # 4 sigma2_mu = 4 for gauss:1,0,1,0.2,0
+    csv_p = _simulate(tmp_path, steps=4000, seed=2)
+    rows = {r["quantity"]: r for r in _report_rows(csv_p, tmp_path)}
+    assert rows["4sigma2_mu"]["verdict"] == "consistent"
+    csv_p.write_text(csv_p.read_text().replace("# model: pr:0.2,0", "# model: gauss:1,0,1,0.2,0"))
+    rows = {r["quantity"]: r for r in _report_rows(csv_p, tmp_path)}
+    assert rows["4sigma2_mu"]["theoretical"] == 4.0 and rows["4sigma2_mu"]["verdict"] == "violated"
+
+
+def test_report_needs_model_line(tmp_path, capsys):
+    csv_p = _simulate(tmp_path)
+    no_model = tmp_path / "no_model.csv"
+    no_model.write_text("".join(l for l in csv_p.read_text().splitlines(True) if not l.startswith("# model:")))
+    assert main(["report", "--in", str(no_model)]) == 1
+    _assert_one_error_line(capsys, f"{no_model} has no '# model:' line")
 
 
 def test_report_malformed_inputs_exit_one(tmp_path, capsys):
-    csv_p, lim_p, _ = _report(tmp_path, ["--model", "pr"], ("--model", "pr"))
-    not_object = tmp_path / "list.json"
-    not_object.write_text("[1, 2]\n")
-    assert main(["report", "--in", str(csv_p), "--limits", str(not_object)]) == 1
-    _assert_one_error_line(capsys, "JSON object")
-    wrong_type = tmp_path / "str.json"
-    wrong_type.write_text('{"norm_mu": "0.4"}\n')
-    assert main(["report", "--in", str(csv_p), "--limits", str(wrong_type)]) == 1
-    _assert_one_error_line(capsys, "wrong type")
+    csv_p = _simulate(tmp_path, "pr")
+    bad_model = tmp_path / "bad_model.csv"
+    bad_model.write_text(csv_p.read_text().replace("# model: pr", "# model: walk"))
+    assert main(["report", "--in", str(bad_model)]) == 1
+    _assert_one_error_line(capsys, "unknown model spec 'walk'")
     # drop the se_L column from the header and from every row
     lines = [l if l.startswith("#") else ",".join(l.split(",")[:2] + l.split(",")[3:])
              for l in csv_p.read_text().splitlines()]
     no_se = tmp_path / "no_se.csv"
     no_se.write_text("\n".join(lines) + "\n")
-    assert main(["report", "--in", str(no_se), "--limits", str(lim_p)]) == 1
+    assert main(["report", "--in", str(no_se)]) == 1
     _assert_one_error_line(capsys, "se_L")
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
 def test_report_refuses_non_finite_csv(tmp_path, capsys, bad):
-    csv_p, lim_p, rep_p = _report(tmp_path, ["--model", "pr:0.2,0"])
+    csv_p, rep_p = _simulate(tmp_path), tmp_path / "rep.json"
     # the final mean_L and se_varL, which feed 2norm_mu, 4sigma2_mu and ss_bound
     lines = csv_p.read_text().splitlines()
     cols = lines[-1].split(",")
     cols[1] = cols[4] = bad
     csv_p.write_text("\n".join(lines[:-1] + [",".join(cols)]) + "\n")
-    assert main(["report", "--in", str(csv_p), "--limits", str(lim_p), "--out", str(rep_p)]) == 1
+    assert main(["report", "--in", str(csv_p), "--out", str(rep_p)]) == 1
     _assert_one_error_line(capsys, f"{csv_p}: a data row holds a NaN or infinity")
     assert not rep_p.exists()
 

@@ -49,7 +49,8 @@ def test_explicit_schedule_validation():
 
 
 def test_schedule_spec_round_trip():
-    for spec in ("geometric:10,1.25", "explicit:1,5,25", "geometric:2,2"):
+    # 1.2345678 has more than 6 significant digits, which '%g' dropped
+    for spec in ("geometric:10,1.25", "explicit:1,5,25", "geometric:2,2", "geometric:10,1.2345678"):
         sched = hs.CheckpointSchedule.parse(spec)
         assert hs.CheckpointSchedule.parse(sched.spec_string()) == sched
     with pytest.raises(ValueError):
@@ -148,7 +149,8 @@ def _prefilter_by_matmul(points):
     return points[~inside]
 
 
-@pytest.mark.parametrize("scale", [1.0, 2.0**-500, 2.0**500])
+# at 2**1000 the coordinates pass 1e301, where a product of two overflows
+@pytest.mark.parametrize("scale", [1.0, 2.0**-500, 2.0**500, 2.0**1000])
 @pytest.mark.parametrize("spec", PREFILTER_SPECS)
 def test_prefiltered_hull_matches_exact_chain(spec, scale):
     model = w.parse_model(spec)

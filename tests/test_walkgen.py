@@ -290,7 +290,10 @@ def test_brownian_area_scaling_with_paired_seeds():
 @pytest.mark.parametrize(
     "spec",
     ["lattice", "hex6", "pr", "pr:0.2,0", "pr:-0.3,0.4", "gauss", "gauss:1,0.2,2",
-     "gauss:1,0,1,0.5,-0.5", "st-binary", "st-gauss", "pareto:1.5", "pareto:1.5,0.1,0"],
+     "gauss:1,0,1,0.5,-0.5", "st-binary", "st-gauss", "pareto:1.5", "pareto:1.5,0.1,0",
+     # more than 6 significant digits; '%g' turned pareto:2.0000001 into pareto:2,
+     # a model with infinite variance
+     "pr:0.1234567,0", "pareto:2.0000001", "gauss:1,0.1234567,2,1e-300,-12345678.9"],
 )
 def test_grammar_round_trip(spec):
     model = w.parse_model(spec)
