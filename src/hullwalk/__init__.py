@@ -6,8 +6,11 @@ and closed-form limit constants with verdicts against simulation.
 
 Every name is reached through its module (``hullwalk.geom2d``,
 ``hullwalk.walkgen``, ...); importing the package imports them all.
+Every refused input raises ValueError and every numeric failure (an
+overflow, or a NaN or infinity in a result) raises FloatingPointError; the
+package defines no exception type of its own.
 """
 
 __version__ = "0.1.0"
 
-from . import errors, geom2d, hullstream, limits, montecarlo, quadrature, walkgen
+from . import geom2d, hullstream, limits, montecarlo, quadrature, walkgen

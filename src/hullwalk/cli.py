@@ -6,10 +6,10 @@ metadata header; everything else is JSON.  ``report`` rebuilds the model from
 the CSV's '# model:' line and checks the run against that model's limits.
 simulate, clt and constants refuse, before any sampling, a run over 10^10
 steps in all or a path over 2^25 steps; no option overrides either guard.
-Exit codes: 0 success, 1 configuration or validation error, 2 numeric failure
-(a NaN or infinity in results, or a walk, a hull functional or an aggregate
-that overflows the float range), memory exhaustion or a worker process that
-died.  The HULLWALK_THREADS environment variable caps the worker processes
+Exit codes: 0 success; 1 a configuration or validation error (a ValueError,
+or an OSError on a file); 2 a numeric failure (a FloatingPointError: a NaN or
+infinity in results, or a walk, a hull functional or an aggregate that
+overflows the float range), memory exhaustion or a worker process that died.  The HULLWALK_THREADS environment variable caps the worker processes
 (at most one per CPU) without changing any output.
 """
 
@@ -26,7 +26,6 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__, limits, montecarlo
-from .errors import HullwalkError
 from .hullstream import CheckpointSchedule
 from .walkgen import DEFAULT_BROWNIAN_GRID, parse_model
 
@@ -48,26 +47,19 @@ _CSV_FIELDS = (
     ("mean_r", "meanR", "value"),
 )
 CSV_COLUMNS = ",".join(["n"] + [column for column, _, _ in _CSV_FIELDS])
-
-
-class ConfigError(Exception):
-    """Invalid configuration or arguments (exit code 1)."""
-
-
-class NumericFailure(Exception):
-    """NaN encountered in results (exit code 2)."""
+_SE_COLUMNS = [column for column, _, attr in _CSV_FIELDS if attr == "std_error"]
 
 
 def _guard_work(label: str, work: int, limit: int):
     """Refuse a run whose work exceeds ``limit``, before any sampling."""
     if work > limit:
-        raise ConfigError(f"{label} = {work} exceeds the budget guard {limit}")
+        raise ValueError(f"{label} = {work} exceeds the budget guard {limit}")
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise ConfigError(message)
+        raise ValueError(message)
 
 
 def _build_parser() -> _Parser:
@@ -119,11 +111,11 @@ def _write_text(path: str, text: str):
 
 
 def _write_json(path: str, doc: dict):
-    """Write ``doc`` as indented JSON; a NaN or infinity anywhere is a NumericFailure."""
+    """Write ``doc`` as indented JSON; a NaN or infinity anywhere is a FloatingPointError."""
     try:
         text = json.dumps(doc, indent=2, allow_nan=False)
     except ValueError as exc:
-        raise NumericFailure("NaN or infinity in results") from exc
+        raise FloatingPointError("NaN or infinity in results") from exc
     _write_text(path, text + "\n")
 
 
@@ -136,17 +128,17 @@ def cmd_simulate(args) -> int:
     model = parse_model(args.model)
     sched = CheckpointSchedule.parse(args.schedule)
     if args.steps < 0:
-        raise ConfigError(f"steps must be nonnegative, got {args.steps}")
+        raise ValueError(f"steps must be nonnegative, got {args.steps}")
     if args.replicates < 2:
-        raise ConfigError(f"replicates must be >= 2, got {args.replicates}")
+        raise ValueError(f"replicates must be >= 2, got {args.replicates}")
     _guard_work("steps * replicates", args.steps * args.replicates, MAX_WORK)
     _guard_work("steps per path", args.steps, MAX_PATH_STEPS)
     checkpoints = sched.resolve(args.steps)
     if not checkpoints:
-        raise ConfigError(f"schedule {sched.spec_string()!r} gives no checkpoints")
+        raise ValueError(f"schedule {sched.spec_string()!r} gives no checkpoints")
     ests = montecarlo.estimate(model, args.steps, sched, args.replicates, args.seed)
     if not np.isfinite([(e.value, e.std_error) for e in ests]).all():
-        raise NumericFailure("NaN or infinity in results")
+        raise FloatingPointError("NaN or infinity in results")
     by_key = {(e.n, e.statistic): e for e in ests}
 
     heavy = not model.moments().finite_variance
@@ -201,8 +193,8 @@ def cmd_clt(args) -> int:
     _guard_work("steps per path", args.steps, MAX_PATH_STEPS)
     try:
         result = montecarlo.clt_test(model, args.steps, args.replicates, args.seed)
-    except HullwalkError as exc:
-        raise ConfigError(f"CLT check not applicable: {exc}") from exc
+    except ValueError as exc:
+        raise ValueError(f"CLT check not applicable: {exc}") from exc
     counts, edges = np.histogram(result.z, bins=64, range=(-4.0, 4.0))
     verdict = {
         "D": result.D,
@@ -272,16 +264,23 @@ def _read_simulate_csv(path: str) -> tuple[dict, list[dict]]:
                 header = line.split(",")
                 missing = [c for c in CSV_COLUMNS.split(",") if c not in header]
                 if missing:
-                    raise ConfigError(f"{path} lacks columns: {','.join(missing)}")
+                    raise ValueError(f"{path} lacks columns: {','.join(missing)}")
                 continue
             parts = line.split(",")
             if len(parts) != len(header):
-                raise ConfigError(f"{path}: a data row has {len(parts)} fields, not {len(header)}")
-            rows.append({k: float(v) for k, v in zip(header, parts)})
-            if not all(map(math.isfinite, rows[-1].values())):
-                raise ConfigError(f"{path}: a data row holds a NaN or infinity")
+                raise ValueError(f"{path}: a data row has {len(parts)} fields, not {len(header)}")
+            row = {k: float(v) for k, v in zip(header, parts)}
+            if not all(map(math.isfinite, row.values())):
+                raise ValueError(f"{path}: a data row holds a NaN or infinity")
+            if row["n"] < 0 or not row["n"].is_integer():
+                raise ValueError(f"{path}: checkpoint n = {row['n']!r} is not a nonnegative integer")
+            if rows and row["n"] <= rows[-1]["n"]:
+                raise ValueError(f"{path}: checkpoints are not strictly increasing at n = {int(row['n'])}")
+            if min(row[c] for c in _SE_COLUMNS) < 0.0:
+                raise ValueError(f"{path}: a data row has a negative standard error")
+            rows.append(row)
     if header is None or not rows:
-        raise ConfigError(f"{path} contains no data rows")
+        raise ValueError(f"{path} contains no data rows")
     return meta, rows
 
 
@@ -318,12 +317,12 @@ _REFERENCE = {
 def cmd_report(args) -> int:
     meta, rows = _read_simulate_csv(args.csv_in)
     if "model" not in meta:
-        raise ConfigError(f"{args.csv_in} has no '# model:' line")
+        raise ValueError(f"{args.csv_in} has no '# model:' line")
     lim = _model_limits(parse_model(meta["model"]))
     final = rows[-1]
     n = final["n"]
     if n < 1:
-        raise ConfigError("final checkpoint must be at least 1")
+        raise ValueError("final checkpoint must be at least 1")
     drift = lim["norm_mu"] > 0.0
     references, estimates = [], {}
     for q, regime, key, kind, value, se, divisor in _REPORT_ROWS:
@@ -335,7 +334,7 @@ def cmd_report(args) -> int:
         references.append((q, *_REFERENCE[kind](lim[key])))
         estimates[q] = montecarlo.MonteCarloEstimate(int(n), q, final[value] / d, final[se] / d)
     if not estimates:
-        raise ConfigError(f"model {lim['model']!r} has no quantity to report")
+        raise ValueError(f"model {lim['model']!r} has no quantity to report")
     report = limits.assemble_report(references, estimates)
     if "heavy_tail" in lim:
         # the standard errors estimate an infinite variance, so no verdict holds
@@ -365,10 +364,10 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except (ConfigError, ValueError, HullwalkError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (NumericFailure, FloatingPointError) as exc:
+    except FloatingPointError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2
     except MemoryError:

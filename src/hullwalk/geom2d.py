@@ -25,8 +25,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyInputError, NonUnitDirectionError, OriginOutsideError
-
 # Relative tolerance (times the diameter) for point-membership tests.
 MEMBERSHIP_RTOL = 1e-9
 
@@ -38,14 +36,14 @@ def _points_array(points) -> np.ndarray:
     else:
         seq = list(points)
         if len(seq) == 0:
-            raise EmptyInputError("need at least one point")
+            raise ValueError("need at least one point")
         arr = np.array([tuple(p) for p in seq], dtype=float)
     if arr.ndim == 1 and arr.shape == (2,):
         arr = arr[None, :]
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError(f"expected points of shape (m, 2), got {arr.shape}")
     if arr.shape[0] == 0:
-        raise EmptyInputError("need at least one point")
+        raise ValueError("need at least one point")
     if not np.isfinite(arr).all():
         raise ValueError("points must have finite coordinates")
     return arr
@@ -319,7 +317,7 @@ def convex_hull(points) -> ConvexPolygon:
     segment and coincident input to a point.
 
     Raises:
-        EmptyInputError: if no points are given.
+        ValueError: if no points are given.
     """
     arr = _points_array(points)
     # Python floats: near the float limit the box sides overflow to inf
@@ -349,12 +347,12 @@ def support(poly: ConvexPolygon, direction) -> float:
     """Support function h(e) = max over vertices of v . e for a unit direction e.
 
     Raises:
-        NonUnitDirectionError: if the direction is not unit length to 1e-12.
+        ValueError: if the direction is not unit length to 1e-12.
     """
     e = _point_array(direction)
     norm = float(np.hypot(e[0], e[1]))
     if abs(norm - 1.0) > 1e-12:
-        raise NonUnitDirectionError(f"direction has norm {norm!r}, expected 1")
+        raise ValueError(f"direction has norm {norm!r}, expected 1")
     return float((poly.vertices @ e).max())
 
 
@@ -401,7 +399,7 @@ def cauchy_perimeter(points, n_angles: int) -> float:
     factor-two convention for flat sets automatically.
 
     Raises:
-        EmptyInputError: if no points are given.
+        ValueError: if no points are given.
     """
     if n_angles < 4:
         raise ValueError(f"n_angles must be >= 4, got {n_angles}")
@@ -420,10 +418,10 @@ def dist_origin_to_boundary(poly: ConvexPolygon) -> float:
     since the walk starts at the origin).
 
     Raises:
-        OriginOutsideError: if the membership test fails.
+        ValueError: if the membership test fails.
     """
     if not poly.contains((0.0, 0.0)):
-        raise OriginOutsideError("origin is not inside the polygon")
+        raise ValueError("origin is not inside the polygon")
     return _times_pow2(_inradius(poly._unit_cycle()), poly._exp)
 
 

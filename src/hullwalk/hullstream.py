@@ -26,7 +26,6 @@ from scipy.spatial import ConvexHull as _QhullConvexHull
 from scipy.spatial import QhullError as _QhullError
 
 from . import geom2d
-from .errors import ScheduleOutOfRangeError
 from .walkgen import spec_number
 
 DEFAULT_GEOMETRIC_START = 10
@@ -109,7 +108,7 @@ class _Explicit(CheckpointSchedule):
     def resolve(self, n_steps: int) -> list[int]:
         """The checkpoints themselves, which must not exceed ``n_steps``."""
         if self.values and self.values[-1] > n_steps:
-            raise ScheduleOutOfRangeError(f"checkpoint {self.values[-1]} exceeds path length {n_steps}")
+            raise ValueError(f"checkpoint {self.values[-1]} exceeds path length {n_steps}")
         return list(self.values)
 
     def spec_string(self) -> str:
@@ -229,7 +228,7 @@ def functional_series(positions: np.ndarray, sched: CheckpointSchedule) -> Funct
     """Hull functionals along the (n+1, 2) positions at the scheduled checkpoints.
 
     Raises:
-        ScheduleOutOfRangeError: if a checkpoint exceeds the path length.
+        ValueError: if a checkpoint exceeds the path length.
     """
     checkpoints = sched.resolve(len(positions) - 1)
     vals = _series_arrays(positions, checkpoints)

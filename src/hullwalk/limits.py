@@ -21,12 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    EmptyInputError,
-    InfiniteVarianceError,
-    InvalidReplicatesError,
-    MismatchedQuantitiesError,
-)
 from .hullstream import _functionals_from_vertices, hull_vertices
 from .montecarlo import MonteCarloEstimate, _map_replicates, _mean_se, _var_se
 from .quadrature import adaptive_simpson
@@ -68,7 +62,7 @@ def kac_expected_max(plus_part_means) -> float:
     """Kac/Hunt identity: E max(0, T_1, ..., T_n) = sum_{k=1}^n E[T_k^+] / k."""
     means = np.asarray(list(plus_part_means), dtype=float)
     if len(means) == 0:
-        raise EmptyInputError("need the k = 1 mean at least")
+        raise ValueError("need the k = 1 mean at least")
     return float((means / np.arange(1, len(means) + 1)).sum())
 
 
@@ -129,20 +123,26 @@ def expected_norm_gaussian(Sigma) -> float:
     """E|Y| for Y ~ N(0, Sigma) via the circle integral.
 
     E|Y| = (8 pi)^(-1/2) * integral over the unit circle of |Sigma^(1/2) e|,
-    evaluated by adaptive quadrature to 1e-8.
+    evaluated by adaptive quadrature to 1e-8 relative to the square root of
+    Sigma's largest entry.  The integral runs on Sigma 4^-k, whose largest
+    entry lies in [1/2, 2), and is scaled back by 2^k; both scalings are
+    exact, so any covariance from 1e-300 to 1e300 keeps the same precision.
 
     Raises:
-        NotPSDError: if Sigma is not symmetric positive semidefinite.
+        ValueError: if Sigma is not symmetric positive semidefinite.
     """
     S = np.asarray(Sigma, dtype=float)
     psd_sqrt(S)  # validation only
-    a, b, c = S[0, 0], 0.5 * (S[0, 1] + S[1, 0]), S[1, 1]
+    k = math.frexp(float(np.abs(S).max()))[1] // 2
+    a, b01, b10, c = (math.ldexp(float(x), -2 * k) for x in S.ravel())
+    b = 0.5 * (b01 + b10)
 
     def integrand(theta: float) -> float:
         ct, st = math.cos(theta), math.sin(theta)
         return math.sqrt(max(a * ct * ct + 2.0 * b * ct * st + c * st * st, 0.0))
 
-    return adaptive_simpson(integrand, 0.0, 2.0 * math.pi, tol=1e-8) / math.sqrt(8.0 * math.pi)
+    integral = adaptive_simpson(integrand, 0.0, 2.0 * math.pi, tol=1e-8)
+    return math.ldexp(integral, k) / math.sqrt(8.0 * math.pi)
 
 
 def limit_constants(mom: MomentSummary) -> list[tuple[str, float]]:
@@ -155,10 +155,10 @@ def limit_constants(mom: MomentSummary) -> list[tuple[str, float]]:
     included.
 
     Raises:
-        InfiniteVarianceError: for models without a finite second moment.
+        ValueError: for models without a finite second moment.
     """
     if not mom.finite_variance:
-        raise InfiniteVarianceError("limit constants need a finite second moment")
+        raise ValueError("limit constants need a finite second moment")
     out: list[tuple[str, float]] = []
     if mom.norm_mu > 0.0:
         out.append(("2norm_mu", 2.0 * mom.norm_mu))
@@ -267,7 +267,7 @@ def rogers_shepp_second_moment() -> float:
     not reproduced by full evaluation.)
 
     Raises:
-        NoConvergenceError: if either quadrature level stalls.
+        ValueError: if either quadrature level does not converge.
     """
     integral = adaptive_simpson(_rogers_shepp_c, -math.pi / 2.0, math.pi / 2.0, tol=_RS_OUTER_TOL)
     return 4.0 * math.pi * integral
@@ -334,7 +334,7 @@ def brownian_constant_estimates(grid_n: int, replicates: int, master_seed: int) 
     if grid_n < 2:
         raise ValueError(f"grid_n must be >= 2, got {grid_n}")
     if replicates < 2:
-        raise InvalidReplicatesError(f"need replicates >= 2, got {replicates}")
+        raise ValueError(f"need replicates >= 2, got {replicates}")
     vals = _map_replicates(_brownian_block, replicates, (grid_n, master_seed))
     l1, a1, at1, rsq, lb = (vals[:, j] for j in range(5))
 
@@ -405,13 +405,13 @@ def assemble_report(references, estimates) -> list[LimitReport]:
     standard error reads ``violated``; a row without one is ``untested``.
 
     Raises:
-        MismatchedQuantitiesError: if an estimate has no reference row.
-        ValueError: for a row with neither a value nor bounds, or a value outside them.
+        ValueError: if an estimate has no reference row, or for a row with
+            neither a value nor bounds, or a value outside them.
     """
     known = {q for q, _, _ in references}
     for q in estimates:
         if q not in known:
-            raise MismatchedQuantitiesError(f"estimate for unknown quantity {q!r}")
+            raise ValueError(f"estimate for unknown quantity {q!r}")
     out = []
     for q, theo, bounds in references:
         lo, hi = (None, None) if bounds is None else bounds

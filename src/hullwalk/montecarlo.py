@@ -23,14 +23,6 @@ import numpy as np
 from scipy.special import ndtr
 
 from . import geom2d
-from .errors import (
-    DegenerateDriftError,
-    InfiniteVarianceError,
-    InvalidReplicatesError,
-    SupportTooLargeError,
-    TooFewSamplesError,
-    ZeroDriftError,
-)
 from .hullstream import CheckpointSchedule, _series_arrays
 from .walkgen import RngStream, sample_path
 
@@ -129,10 +121,10 @@ def estimate(model, n: int, sched: CheckpointSchedule, replicates: int, master_s
     means and the fourth-central-moment estimator for variances.
 
     Raises:
-        InvalidReplicatesError: if fewer than two replicates are requested.
+        ValueError: if fewer than two replicates are requested.
     """
     if replicates < 2:
-        raise InvalidReplicatesError(f"need replicates >= 2, got {replicates}")
+        raise ValueError(f"need replicates >= 2, got {replicates}")
     checkpoints = tuple(sched.resolve(n))
     vals = _map_replicates(_series_block, replicates, (model, n, checkpoints, master_seed))
     out = []
@@ -163,7 +155,7 @@ def collect_samples(model, n: int, replicates: int, master_seed: int, functional
         FloatingPointError: if a value is not finite.
     """
     if replicates < 1:
-        raise InvalidReplicatesError(f"need replicates >= 1, got {replicates}")
+        raise ValueError(f"need replicates >= 1, got {replicates}")
     col = _FUNCTIONAL_COLUMN[functional]
     vals = _map_replicates(_terminal_block, replicates, (model, n, col, master_seed))
     if not np.isfinite(vals).all():
@@ -188,7 +180,7 @@ def norm_mean_estimates(model, ks, replicates: int, master_seed: int):
     returned (means, std_errors) arrays align with ``ks``.
     """
     if replicates < 2:
-        raise InvalidReplicatesError(f"need replicates >= 2, got {replicates}")
+        raise ValueError(f"need replicates >= 2, got {replicates}")
     ks = tuple(int(k) for k in ks)
     if any(k < 1 for k in ks):
         raise ValueError("norm means need k >= 1")
@@ -207,13 +199,13 @@ def ks_statistic(samples, cdf) -> float:
     D = max over order statistics x_(i) of max(i/m - F(x_(i)), F(x_(i)) - (i-1)/m).
 
     Raises:
-        TooFewSamplesError: with fewer than two samples.
-        ValueError: if ``cdf`` does not return one value per sample.
+        ValueError: with fewer than two samples, or if ``cdf`` does not
+            return one value per sample.
     """
     xs = np.sort(np.asarray(samples, dtype=float))
     m = len(xs)
     if m < 2:
-        raise TooFewSamplesError(f"need at least 2 samples, got {m}")
+        raise ValueError(f"need at least 2 samples, got {m}")
     f = np.asarray(cdf(xs), dtype=float)
     if f.shape != xs.shape:
         raise ValueError(f"the cdf returned shape {f.shape} for {m} samples")
@@ -242,24 +234,22 @@ def clt_test(model, n: int, replicates: int, master_seed: int) -> CltResult:
     KS level.  The result carries the standardized samples.
 
     Raises:
-        ValueError: if n < 1, before any sampling.
-        InvalidReplicatesError: if replicates < 2, before any sampling.
-        ZeroDriftError: if the model has zero mean increment.
-        InfiniteVarianceError: for models without a finite second moment.
-        DegenerateDriftError: if fluctuations along the drift vanish
-            (sigma2_mu = 0), where the Gaussian limit fails.
+        ValueError: before any sampling, if n < 1 or replicates < 2, or if
+            the model has zero drift, an infinite second moment or no
+            fluctuation along the drift (sigma2_mu = 0), where the Gaussian
+            limit fails.
     """
     if n < 1:
         raise ValueError(f"the CLT check needs n >= 1 steps, got {n}")
     if replicates < 2:
-        raise InvalidReplicatesError(f"the CLT check needs replicates >= 2, got {replicates}")
+        raise ValueError(f"the CLT check needs replicates >= 2, got {replicates}")
     mom = model.moments()
     if mom.norm_mu == 0.0:
-        raise ZeroDriftError("the Gaussian perimeter limit needs a drift")
+        raise ValueError("the Gaussian perimeter limit needs a drift")
     if not mom.finite_variance:
-        raise InfiniteVarianceError("the Gaussian perimeter limit needs a finite second moment")
+        raise ValueError("the Gaussian perimeter limit needs a finite second moment")
     if mom.sigma2_mu <= 0.0:
-        raise DegenerateDriftError(
+        raise ValueError(
             "sigma2_mu = 0: increments fluctuate only orthogonally to the drift"
         )
     samples = collect_samples(model, n, replicates, master_seed, functional="L")
@@ -278,9 +268,9 @@ def _check_budget(s: int, k: int):
     # s**k >= 2**k > the budget once s >= 2 and k passes its bit length, so
     # the power, which can have millions of digits, is built only below that.
     if s >= 2 and k > ENUMERATION_BUDGET.bit_length():
-        raise SupportTooLargeError(f"support^{k} = {s}^{k} exceeds the {ENUMERATION_BUDGET} budget")
+        raise ValueError(f"support^{k} = {s}^{k} exceeds the {ENUMERATION_BUDGET} budget")
     if s**k > ENUMERATION_BUDGET:
-        raise SupportTooLargeError(f"support^{k} = {s**k} exceeds the {ENUMERATION_BUDGET} budget")
+        raise ValueError(f"support^{k} = {s**k} exceeds the {ENUMERATION_BUDGET} budget")
 
 
 def _sequence_weights(probs: np.ndarray, k: int) -> np.ndarray:
@@ -342,7 +332,7 @@ def exact_position_distributions(model, n: int):
                 nxt[key] = nxt.get(key, 0.0) + p * q
         current = nxt
         if len(current) > ENUMERATION_BUDGET:
-            raise SupportTooLargeError(f"position support exceeds the {ENUMERATION_BUDGET} budget")
+            raise ValueError(f"position support exceeds the {ENUMERATION_BUDGET} budget")
         dists.append(current)
     return dists
 
@@ -391,8 +381,8 @@ def enumerate_exact(model, n: int) -> ExactMoments:
     """Exact E[L_n], Var[L_n], E[A_n] by full enumeration of support^n.
 
     Raises:
-        NotFiniteSupportError: for models with continuous increments.
-        SupportTooLargeError: if support^n exceeds ENUMERATION_BUDGET.
+        ValueError: for models with continuous increments, or if support^n
+            exceeds ENUMERATION_BUDGET.
     """
     if n == 0:
         return ExactMoments(0.0, 0.0, 0.0)
@@ -422,9 +412,9 @@ def martingale_decomposition_check(model, n: int) -> MartingaleCheck:
     every prefix.  The same enumeration gives the exact E L_n and E A_n.
 
     Raises:
-        NotFiniteSupportError: for models with continuous increments.
-        SupportTooLargeError: if support^n or support^(n+1) exceeds
-            ENUMERATION_BUDGET; both are checked before enumerating.
+        ValueError: for models with continuous increments, or if support^n
+            or support^(n+1) exceeds ENUMERATION_BUDGET; both are checked
+            before enumerating.
     """
     s = len(model.support()[0])
     _check_budget(s, n)

@@ -8,8 +8,6 @@ hyperbolic-ratio tails).
 
 from __future__ import annotations
 
-from .errors import NoConvergenceError
-
 _MAX_DEPTH = 60
 
 
@@ -23,7 +21,7 @@ def adaptive_simpson(f, a: float, b: float, tol: float) -> float:
     """Integrate ``f`` over [a, b] to absolute tolerance ``tol``.
 
     Raises:
-        NoConvergenceError: if the recursion depth limit is reached before
+        ValueError: if the recursion depth limit is reached before
             the local error estimate drops below the local tolerance.
     """
     if not b > a:
@@ -42,7 +40,7 @@ def _recurse(f, a, fa, m, fm, b, fb, tol, whole, depth):
     if abs(err) <= 15.0 * tol:
         return left + right + err / 15.0
     if depth <= 0:
-        raise NoConvergenceError(
+        raise ValueError(
             f"adaptive Simpson did not converge on [{a}, {b}] (residual {err:.3e})"
         )
     return _recurse(f, a, fa, lm, flm, m, fm, tol / 2.0, left, depth - 1) + _recurse(

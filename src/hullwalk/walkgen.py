@@ -19,8 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotFiniteSupportError, NotPSDError
-
 DEFAULT_BROWNIAN_GRID = 2**17  # discretization bias on hull functionals < 1% here
 
 
@@ -97,23 +95,23 @@ def psd_sqrt(cov: np.ndarray) -> np.ndarray:
     t = sqrt(a + c + 2 sqrt(det S)); the zero matrix maps to itself.
 
     Raises:
-        NotPSDError: if ``cov`` is not symmetric positive semidefinite.
-        ValueError: if its determinant, trace or root overflows the float range.
+        ValueError: if ``cov`` is not symmetric positive semidefinite, or if
+            its determinant, trace or root overflows the float range.
     """
     cov = np.asarray(cov, dtype=float)
     if cov.shape != (2, 2):
-        raise NotPSDError(f"expected a 2x2 matrix, got shape {cov.shape}")
+        raise ValueError(f"expected a 2x2 matrix, got shape {cov.shape}")
     if not np.isfinite(cov).all():
-        raise NotPSDError("covariance must be finite")
+        raise ValueError("covariance must be finite")
     # Python floats: an overflow is an inf, refused below, and never a warning
     (a, b01), (b10, c) = cov.tolist()
     scale = max(abs(a), abs(b01), abs(b10), abs(c), 1.0)
     if abs(b01 - b10) > 1e-12 * scale:
-        raise NotPSDError("covariance must be symmetric")
+        raise ValueError("covariance must be symmetric")
     b = 0.5 * (b01 + b10)
     det = a * c - b * b
     if a < -1e-12 * scale or c < -1e-12 * scale or det < -1e-12 * scale * scale:
-        raise NotPSDError("covariance must be positive semidefinite")
+        raise ValueError("covariance must be positive semidefinite")
     s = math.sqrt(max(det, 0.0))
     t_sq = max(a + c + 2.0 * s, 0.0)
     if not math.isfinite(det + t_sq):
@@ -173,7 +171,7 @@ class _FiniteSupport:
 
 class _ContinuousSupport:
     def support(self):
-        raise NotFiniteSupportError(f"model {self.spec_string()!r} has continuous support")
+        raise ValueError(f"model {self.spec_string()!r} has continuous support")
 
 
 @dataclass(frozen=True)
@@ -392,7 +390,7 @@ def brownian_path(cov, grid_n: int, rng: np.random.Generator) -> np.ndarray:
     normal pairs from ``rng``.
 
     Raises:
-        NotPSDError: if ``cov`` is not symmetric positive semidefinite.
+        ValueError: if ``cov`` is not symmetric positive semidefinite.
     """
     if grid_n < 1:
         raise ValueError(f"grid_n must be >= 1, got {grid_n}")

@@ -506,7 +506,8 @@ def test_constants_small_run(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("model", ["pr:0.2,0", "pr"])
+# gauss:1e+20,0,1 needs its E|Y| to a tolerance relative to the covariance
+@pytest.mark.parametrize("model", ["pr:0.2,0", "pr", "gauss:1e+20,0,1"])
 def test_report_pipeline(tmp_path, model):
     csv_p, rep_p = tmp_path / "r.csv", tmp_path / "rep.json"
     assert main(["simulate", "--model", model, "--steps", "4000", "--replicates", "300",
@@ -607,6 +608,21 @@ def test_report_malformed_inputs_exit_one(tmp_path, capsys):
     no_se.write_text("\n".join(lines) + "\n")
     assert main(["report", "--in", str(no_se)]) == 1
     _assert_one_error_line(capsys, "se_L")
+    # simulate never writes these: checkpoints out of order, a checkpoint that
+    # is not an integer, and a negative standard error (se_L)
+    *head, prev, last = csv_p.read_text().splitlines()
+    cols = last.split(",")
+    for name, rows, text in [
+        ("decreasing", [last, prev], "checkpoints are not strictly increasing at n ="),
+        ("fractional", [prev, ",".join([cols[0] + ".5"] + cols[1:])],
+         "checkpoint n = 1000.5 is not a nonnegative integer"),
+        ("negative_se", [prev, ",".join(cols[:2] + ["-" + cols[2]] + cols[3:])],
+         "a data row has a negative standard error"),
+    ]:
+        bad = tmp_path / f"{name}.csv"
+        bad.write_text("\n".join(head + rows) + "\n")
+        assert main(["report", "--in", str(bad)]) == 1
+        _assert_one_error_line(capsys, f"{bad}: {text}")
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])

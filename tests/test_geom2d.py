@@ -10,7 +10,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hullwalk import geom2d as g
-from hullwalk.errors import EmptyInputError, NonUnitDirectionError, OriginOutsideError
 
 SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 
@@ -52,7 +51,7 @@ def test_hull_repeated_point():
 
 
 def test_hull_empty_input_raises():
-    with pytest.raises(EmptyInputError):
+    with pytest.raises(ValueError, match="need at least one point"):
         g.convex_hull([])
 
 
@@ -250,7 +249,7 @@ def test_support_values():
 
 
 def test_support_requires_unit_direction():
-    with pytest.raises(NonUnitDirectionError):
+    with pytest.raises(ValueError, match=r"direction has norm 1\.41421356237309\d*, expected 1"):
         g.support(g.convex_hull(SQUARE), (1.0, 1.0))
 
 
@@ -328,7 +327,7 @@ def test_cauchy_requires_enough_angles():
 
 
 def test_cauchy_empty_raises():
-    with pytest.raises(EmptyInputError):
+    with pytest.raises(ValueError, match="need at least one point"):
         g.cauchy_perimeter([], 4096)
 
 
@@ -359,7 +358,7 @@ def test_dist_origin_vertex_and_segment():
 
 def test_dist_origin_outside_raises():
     poly = g.convex_hull(np.asarray(SQUARE) + [10.0, 10.0])
-    with pytest.raises(OriginOutsideError):
+    with pytest.raises(ValueError, match="origin is not inside the polygon"):
         g.dist_origin_to_boundary(poly)
 
 

@@ -10,16 +10,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ellipe
 
 from hullwalk import limits as lm
 from hullwalk import montecarlo as mc
+from hullwalk import quadrature
 from hullwalk import walkgen as w
-from hullwalk.errors import (
-    EmptyInputError,
-    InfiniteVarianceError,
-    MismatchedQuantitiesError,
-    NotPSDError,
-)
 from references import RS_SECOND_MOMENT
 
 # independent high-precision references (mpmath, 25 digits)
@@ -36,7 +32,7 @@ def test_sw_basics():
     assert lm.sw_expected_perimeter([1.0]) == 2.0
     # Gaussian steps with identity covariance: E|S_k| = sqrt(k pi / 2)
     assert math.isclose(lm.sw_expected_perimeter([math.sqrt(math.pi / 2)]), math.sqrt(2 * math.pi))
-    with pytest.raises(EmptyInputError):
+    with pytest.raises(ValueError, match="need the k = 1 mean at least"):
         lm.sw_expected_perimeter([])
 
 
@@ -71,7 +67,7 @@ def test_kac_basics():
     assert lm.kac_expected_max([0.5, 0.5]) == 0.75  # equals the 4-path enumeration
     assert _pm1_walk_expected_max(2) == 0.75
     assert lm.kac_expected_max([0.0, 0.0, 0.0]) == 0.0
-    with pytest.raises(EmptyInputError):
+    with pytest.raises(ValueError, match="need the k = 1 mean at least"):
         lm.kac_expected_max([])
 
 
@@ -134,7 +130,7 @@ def test_expected_norm_gaussian_values():
     assert abs(lm.expected_norm_gaussian(np.eye(2)) - math.sqrt(math.pi / 2)) < 1e-8
     assert abs(lm.expected_norm_gaussian(0.5 * np.eye(2)) - math.sqrt(math.pi) / 2) < 1e-8
     assert abs(lm.expected_norm_gaussian(np.diag([1.0, 0.0])) - math.sqrt(2 / math.pi)) < 1e-6
-    with pytest.raises(NotPSDError):
+    with pytest.raises(ValueError, match="covariance must be positive semidefinite"):
         lm.expected_norm_gaussian([[1.0, 2.0], [2.0, 1.0]])
 
 
@@ -148,6 +144,30 @@ def test_expected_norm_gaussian_bound_sandwich():
         trace = sigma[0, 0] + sigma[1, 1]
         assert math.sqrt(trace / math.pi) <= value + 1e-9
         assert value <= math.sqrt(trace) + 1e-9
+
+
+# Eigenvalue pairs l1 >= l2 from 1e-310 to 1e300, isotropic to 1e-20 anisotropic;
+# (1e300, 1e300) is left out because its determinant overflows.
+_EIGENVALUE_PAIRS = [
+    (scale, scale * ratio)
+    for scale in (1e-300, 1e-150, 1e-10, 1.0, 1e10, 1e20, 1e150)
+    for ratio in (1.0, 0.3, 1e-2, 1e-10, 1e-20)
+] + [(1e300, 1e8), (1e300, 1.0), (1e300, 1e-300)]
+
+
+@pytest.mark.parametrize("l1, l2", _EIGENVALUE_PAIRS)
+def test_expected_norm_gaussian_relative_at_any_scale(l1, l2):
+    # E|Y| = sqrt(2 l1 / pi) E(1 - l2 / l1), E the complete elliptic integral
+    closed = math.sqrt(2.0 * l1 / math.pi) * ellipe(1.0 - l2 / l1)
+    assert math.isclose(lm.expected_norm_gaussian(np.diag([l1, l2])), closed, rel_tol=1e-10)
+    if l1 > 1e150:
+        return  # rotated, its diagonal product overflows, so the covariance is refused
+    # the same eigenvalues on rotated axes
+    c, s = math.cos(0.7), math.sin(0.7)
+    rot = np.array([[c, -s], [s, c]])
+    sigma = rot @ np.diag([l1, l2]) @ rot.T
+    sigma = 0.5 * (sigma + sigma.T)
+    assert math.isclose(lm.expected_norm_gaussian(sigma), closed, rel_tol=1e-8)
 
 
 def test_limit_constants_zero_drift():
@@ -169,7 +189,7 @@ def test_limit_constants_with_drift():
 
 
 def test_limit_constants_infinite_variance():
-    with pytest.raises(InfiniteVarianceError):
+    with pytest.raises(ValueError, match="limit constants need a finite second moment"):
         lm.limit_constants(w.ParetoDirection(alpha=1.5).moments())
 
 
@@ -199,6 +219,12 @@ def test_rogers_shepp_against_high_precision_reference():
     assert abs(var_l1 - (RS_SECOND_MOMENT - 8 * math.pi)) < 2e-3
     lo, hi = lm.u0_bounds(2.0, identity=True)
     assert lo <= var_l1 <= hi
+
+
+def test_adaptive_simpson_no_convergence():
+    # 1/x on [0, 1] diverges, so the recursion depth limit is reached
+    with pytest.raises(ValueError, match="did not converge"):
+        quadrature.adaptive_simpson(lambda x: 0.0 if x == 0 else 1 / x, 0.0, 1.0, tol=1e-10)
 
 
 def test_sine_integral_and_goldman():
@@ -301,7 +327,7 @@ def test_assemble_report_verdicts():
 def test_assemble_report_untested_and_mismatch():
     reports = lm.assemble_report([("a", 1.0, None)], {})
     assert reports[0].verdict == "untested"
-    with pytest.raises(MismatchedQuantitiesError):
+    with pytest.raises(ValueError, match="estimate for unknown quantity 'zzz'"):
         lm.assemble_report([("a", 1.0, None)], {"zzz": _est("zzz", 1.0, 0.1)})
 
 
