@@ -30,8 +30,10 @@ from .walkgen import (
     SpacetimeGaussian,
     bridge_path,
     brownian_path,
+    pow2_units,
     psd_sqrt,
     sample_path,
+    sqrt_det,
 )
 
 
@@ -131,10 +133,9 @@ def expected_norm_gaussian(Sigma) -> float:
     Raises:
         ValueError: if Sigma is not symmetric positive semidefinite.
     """
-    S = np.asarray(Sigma, dtype=float)
-    psd_sqrt(S)  # validation only
-    k = math.frexp(float(np.abs(S).max()))[1] // 2
-    a, b01, b10, c = (math.ldexp(float(x), -2 * k) for x in S.ravel())
+    psd_sqrt(Sigma)  # validation only
+    scaled, k = pow2_units(Sigma)
+    (a, b01), (b10, c) = scaled.tolist()
     b = 0.5 * (b01 + b10)
 
     def integrand(theta: float) -> float:
@@ -172,7 +173,7 @@ def limit_constants(mom: MomentSummary) -> list[tuple[str, float]]:
     else:
         Sigma = mom.sigma_matrix()
         out.append(("4E_norm_Y", 4.0 * expected_norm_gaussian(Sigma)))
-        out.append(("pi_over_2_sqrt_det", 0.5 * math.pi * math.sqrt(max(mom.det_Sigma, 0.0))))
+        out.append(("pi_over_2_sqrt_det", 0.5 * math.pi * sqrt_det(Sigma)))
     out.append(("ss_bound", u0_bounds(mom.sigma2)[1]))
     return out
 
@@ -335,7 +336,7 @@ def brownian_constant_estimates(grid_n: int, replicates: int, master_seed: int) 
         raise ValueError(f"grid_n must be >= 2, got {grid_n}")
     if replicates < 2:
         raise ValueError(f"need replicates >= 2, got {replicates}")
-    vals = _map_replicates(_brownian_block, replicates, (grid_n, master_seed))
+    vals = _map_replicates(_brownian_block, replicates, (grid_n, master_seed), 3 * (grid_n + 1))
     l1, a1, at1, rsq, lb = (vals[:, j] for j in range(5))
 
     def est(stat: str, pair: tuple[float, float]) -> MonteCarloEstimate:

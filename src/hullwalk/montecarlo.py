@@ -3,7 +3,8 @@
 Replicate i always draws from the Philox stream (master_seed, i), and
 aggregation runs over a replicate-indexed array, so results are bit-identical
 for a fixed seed regardless of how many worker processes execute the paths.
-The worker count is capped by the HULLWALK_THREADS environment variable.
+The worker count is capped by the HULLWALK_THREADS environment variable, and
+by the work: each worker gets at least 2**16 walk positions.
 
 The enumeration oracles walk the full product space of finite-support
 increment models and evaluate hull functionals exactly, a chunk of paths at a
@@ -24,12 +25,15 @@ from scipy.special import ndtr
 
 from . import geom2d
 from .hullstream import CheckpointSchedule, _series_arrays
-from .walkgen import RngStream, sample_path
+from .walkgen import RngStream, pow2_units, sample_path
 
 ENUMERATION_BUDGET = 10**7
 # Paths per batched hull call in the enumeration: peak memory grows with it
 # (about 4 MB above the enumeration's arrays at 4096) and speed levels off.
 _ENUM_CHUNK = 4096
+# Walk positions a pool worker gets at least, so that its share of sampling
+# and hull work outweighs the fork and result transfer that the pool costs.
+_WORKER_POSITIONS = 2**16
 THREADS_ENV_VAR = "HULLWALK_THREADS"
 
 
@@ -56,28 +60,36 @@ def worker_count() -> int:
     return cpus
 
 
-def _map_replicates(func, total: int, args: tuple) -> np.ndarray:
+def _map_replicates(func, total: int, args: tuple, positions: int = 1024) -> np.ndarray:
     """Run ``func(lo, hi, *args)`` over [0, total) and stack results by index.
 
     ``func`` must be a module-level function returning an array whose leading
-    axis has length hi - lo.  Each worker gets at least 64 replicates, and the
-    output ordering depends only on replicate indices, never on scheduling.
+    axis has length hi - lo; the stacked array has that array's memory layout.
+    ``positions`` is the walk positions one replicate costs: each worker gets
+    at least ``_WORKER_POSITIONS`` of them (64 replicates at the default), so
+    a pool starts only when every worker has work that outweighs its start-up.
+    Each piece is copied into place and dropped as it arrives, and the output
+    ordering depends only on replicate indices, never on scheduling.
     """
-    workers = min(worker_count(), max(1, total // 64))
+    workers = min(worker_count(), total, max(1, total * positions // _WORKER_POSITIONS))
     if workers <= 1:
         return func(0, total, *args)
     n_chunks = workers * 4
-    bounds = np.linspace(0, total, n_chunks + 1).astype(int)
-    pieces: list = [None] * n_chunks
+    bounds = np.linspace(0, total, n_chunks + 1).astype(int).tolist()
+    out = None
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = {
-            pool.submit(func, int(lo), int(hi), *args): j
-            for j, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))
+        futures = [
+            (lo, hi, pool.submit(func, lo, hi, *args))
+            for lo, hi in zip(bounds[:-1], bounds[1:])
             if hi > lo
-        }
-        for fut, j in futures.items():
-            pieces[j] = fut.result()
-    return np.concatenate([p for p in pieces if p is not None], axis=0)
+        ]
+        while futures:
+            lo, hi, fut = futures.pop(0)
+            piece = fut.result()
+            if out is None:
+                out = np.empty_like(piece, shape=(total, *piece.shape[1:]))
+            out[lo:hi] = piece
+    return out
 
 
 def _series_block(lo: int, hi: int, model, n: int, checkpoints: tuple, master_seed: int) -> np.ndarray:
@@ -92,25 +104,32 @@ def _series_block(lo: int, hi: int, model, n: int, checkpoints: tuple, master_se
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
     """Sample mean and its standard error s / sqrt(R).
 
-    It runs in numpy floats under np.errstate, so an overflow or an infinite
-    value raises FloatingPointError instead of giving a NaN or an infinity.
+    The sums run in ``pow2_units``, so squares of tiny values do not
+    underflow, and in numpy floats under np.errstate, so an overflow or an
+    infinite value raises FloatingPointError instead of giving a NaN or an
+    infinity.
     """
+    scaled, k = pow2_units(values)
     with np.errstate(over="raise", invalid="raise"):
-        return float(values.mean()), float(values.std(ddof=1)) / math.sqrt(len(values))
+        mean, sd = np.ldexp([scaled.mean(), scaled.std(ddof=1)], 2 * k)
+    return float(mean), float(sd) / math.sqrt(len(values))
 
 
 def _var_se(values: np.ndarray) -> tuple[float, float]:
     """Unbiased sample variance and its standard error from the fourth moment.
 
-    Raises FloatingPointError on an overflow or an infinite value, as ``_mean_se``.
+    Runs in ``pow2_units`` and raises FloatingPointError on an overflow or an
+    infinite value, as ``_mean_se``.
     """
     r = len(values)
+    scaled, k = pow2_units(values)
     with np.errstate(over="raise", invalid="raise"):
-        centered = values - values.mean()
-        s2 = values.var(ddof=1)  # numpy's own pairwise sum: no BLAS, so no thread dependence
+        centered = scaled - scaled.mean()
+        s2 = scaled.var(ddof=1)  # numpy's own pairwise sum: no BLAS, so no thread dependence
         m4 = np.mean(centered**4)
         var_of_var = (m4 - s2 * s2 * (r - 3) / (r - 1)) / r
-    return float(s2), math.sqrt(max(float(var_of_var), 0.0))
+        s2, se = np.ldexp([s2, math.sqrt(max(float(var_of_var), 0.0))], 4 * k)
+    return float(s2), float(se)
 
 
 def estimate(model, n: int, sched: CheckpointSchedule, replicates: int, master_seed: int):
@@ -126,7 +145,7 @@ def estimate(model, n: int, sched: CheckpointSchedule, replicates: int, master_s
     if replicates < 2:
         raise ValueError(f"need replicates >= 2, got {replicates}")
     checkpoints = tuple(sched.resolve(n))
-    vals = _map_replicates(_series_block, replicates, (model, n, checkpoints, master_seed))
+    vals = _map_replicates(_series_block, replicates, (model, n, checkpoints, master_seed), n + 1)
     out = []
     for j, c in enumerate(checkpoints):
         L, A, r = vals[:, j, 0], vals[:, j, 1], vals[:, j, 2]
@@ -157,7 +176,7 @@ def collect_samples(model, n: int, replicates: int, master_seed: int, functional
     if replicates < 1:
         raise ValueError(f"need replicates >= 1, got {replicates}")
     col = _FUNCTIONAL_COLUMN[functional]
-    vals = _map_replicates(_terminal_block, replicates, (model, n, col, master_seed))
+    vals = _map_replicates(_terminal_block, replicates, (model, n, col, master_seed), n + 1)
     if not np.isfinite(vals).all():
         raise FloatingPointError("sample values must be finite")
     return vals
@@ -184,7 +203,7 @@ def norm_mean_estimates(model, ks, replicates: int, master_seed: int):
     ks = tuple(int(k) for k in ks)
     if any(k < 1 for k in ks):
         raise ValueError("norm means need k >= 1")
-    vals = _map_replicates(_norm_block, replicates, (model, ks, master_seed))
+    vals = _map_replicates(_norm_block, replicates, (model, ks, master_seed), max(ks) + 1)
     return vals.mean(axis=0), vals.std(axis=0, ddof=1) / math.sqrt(replicates)
 
 
@@ -286,9 +305,10 @@ def _enumerate_functionals(model, n: int):
 
     Entry j corresponds to the big-endian base-s expansion of j over the
     support, so reshaping to (s,) * n puts step i on axis i - 1, and
-    ``_sequence_weights(probs, n)`` gives the entries' weights.  The paths go
-    through ``geom2d._perimeter_area_rows`` in chunks of ``_ENUM_CHUNK``; it is
-    exact for integer steps only, and any other table raises ValueError first.
+    ``_sequence_weights(probs, n)`` gives the entries' weights.  Blocks of path
+    indices are dispatched by ``_map_replicates``, and each block goes through
+    ``geom2d._perimeter_area_rows`` in chunks of ``_ENUM_CHUNK``; that is exact
+    for integer steps only, and any other table raises ValueError first.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
@@ -301,16 +321,28 @@ def _enumerate_functionals(model, n: int):
     integral = bool(np.array_equal(step_arr, np.round(step_arr)))
     if geom2d._orient_bound(4.0 * n * float(reach_x), 4.0 * n * float(reach_y), integral):
         raise ValueError(f"exact enumeration needs integer steps of size up to 2**24 / n, got {steps.tolist()}")
-    total = s**n
-    L_all, A_all = np.empty(total), np.empty(total)
-    place = s ** np.arange(n - 1, -1, -1)
-    for lo in range(0, total, _ENUM_CHUNK):
-        hi = min(lo + _ENUM_CHUNK, total)
-        digits = np.arange(lo, hi)[:, None] // place % s
-        positions = np.zeros((hi - lo, n + 1, 2))
-        np.cumsum(step_arr[digits], axis=1, out=positions[:, 1:])
-        L_all[lo:hi], A_all[lo:hi] = geom2d._perimeter_area_rows(positions)
+    LA = _map_replicates(_enum_block, s**n, (step_arr, n), n + 1)
+    L_all, A_all = LA.T  # the rows of a C-ordered (2, s**n) array, each contiguous
     return L_all, A_all, np.asarray(probs, dtype=float)
+
+
+def _enum_block(lo: int, hi: int, steps: np.ndarray, n: int) -> np.ndarray:
+    """L and A of the step sequences with indices lo..hi-1, as the columns of an (hi - lo, 2) array.
+
+    The array is the transpose of a C-ordered (2, hi - lo) one, so each column
+    is contiguous, and so is each column of ``_map_replicates``' stacked array.
+    Each row's pair depends only on its own path, not on the chunk it is in.
+    """
+    s = len(steps)
+    place = s ** np.arange(n - 1, -1, -1)
+    out = np.empty((2, hi - lo))
+    for a in range(lo, hi, _ENUM_CHUNK):
+        b = min(a + _ENUM_CHUNK, hi)
+        digits = np.arange(a, b)[:, None] // place % s
+        positions = np.zeros((b - a, n + 1, 2))
+        np.cumsum(steps[digits], axis=1, out=positions[:, 1:])
+        out[0, a - lo : b - lo], out[1, a - lo : b - lo] = geom2d._perimeter_area_rows(positions)
+    return out.T
 
 
 def exact_position_distributions(model, n: int):

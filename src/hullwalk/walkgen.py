@@ -84,15 +84,45 @@ def _split_moments(mu: np.ndarray, Sigma: np.ndarray) -> MomentSummary:
         sigma2=sigma2,
         sigma2_mu=s_mu,
         sigma2_perp=s_perp,
-        det_Sigma=float(np.linalg.det(Sigma)),
+        det_Sigma=float(np.linalg.det(Sigma)),  # through log|det|: underflows only with its value
     )
+
+
+def pow2_units(x) -> tuple[np.ndarray, int]:
+    """``(x * 4**-k, k)``, k half the binary exponent of x's largest entry in size.
+
+    Squares of the scaled entries neither underflow nor overflow where x's
+    own would, and powers of two scale exactly, so a result taken in these
+    units and scaled back has x's own bits wherever those were in range.
+    """
+    x = np.asarray(x, dtype=float)
+    k = math.frexp(float(np.abs(x).max()))[1] // 2
+    return np.ldexp(x, -2 * k), k
+
+
+def _cov_units(cov: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(cov * 4**-k, k)`` for a 2x2 covariance: k = 0 unless its diagonal's product underflows.
+
+    There k brings that product near 1, so the determinant and the root do
+    not underflow, whatever the ratio of the two variances.
+    """
+    e = math.frexp(float(cov[0, 0]))[1] + math.frexp(float(cov[1, 1]))[1]
+    k = e // 4 if e < -1000 else 0
+    return np.ldexp(cov, -2 * k), k
+
+
+def sqrt_det(cov) -> float:
+    """sqrt(det cov) of a 2x2 covariance, 0 where det rounds below 0, taken in ``_cov_units``."""
+    scaled, k = _cov_units(np.asarray(cov, dtype=float))
+    return math.ldexp(math.sqrt(max(float(np.linalg.det(scaled)), 0.0)), 2 * k)
 
 
 def psd_sqrt(cov: np.ndarray) -> np.ndarray:
     """Symmetric PSD square root of a 2x2 covariance, in closed form.
 
     For S = [[a, b], [b, c]], sqrt(S) = (S + sqrt(det S) I) / t with
-    t = sqrt(a + c + 2 sqrt(det S)); the zero matrix maps to itself.
+    t = sqrt(a + c + 2 sqrt(det S)); the zero matrix maps to itself.  It is
+    taken in ``_cov_units``, so det S does not underflow for tiny S.
 
     Raises:
         ValueError: if ``cov`` is not symmetric positive semidefinite, or if
@@ -103,8 +133,9 @@ def psd_sqrt(cov: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected a 2x2 matrix, got shape {cov.shape}")
     if not np.isfinite(cov).all():
         raise ValueError("covariance must be finite")
+    scaled, k = _cov_units(cov)
     # Python floats: an overflow is an inf, refused below, and never a warning
-    (a, b01), (b10, c) = cov.tolist()
+    (a, b01), (b10, c) = scaled.tolist()
     scale = max(abs(a), abs(b01), abs(b10), abs(c), 1.0)
     if abs(b01 - b10) > 1e-12 * scale:
         raise ValueError("covariance must be symmetric")
@@ -119,7 +150,7 @@ def psd_sqrt(cov: np.ndarray) -> np.ndarray:
     if t_sq == 0.0:
         return np.zeros((2, 2))
     t = math.sqrt(t_sq)
-    return (np.array([[a + s, b], [b, c + s]])) / t
+    return np.ldexp(np.array([[a + s, b], [b, c + s]]) / t, k)
 
 
 # ---------------------------------------------------------------------------

@@ -291,7 +291,7 @@ def test_acceptance_10_variance_constants(drift_run_1e4, zero_run_1e4):
 # ---------------------------------------------------------------------------
 
 
-def test_acceptance_11_property_suites(monkeypatch):
+def test_acceptance_11_property_suites(monkeypatch, pool_sizes):
     # geometry invariants: idempotence, monotonicity, scaling
     rng = np.random.default_rng(SEED + 11)
     for _ in range(50):
@@ -314,14 +314,18 @@ def test_acceptance_11_property_suites(monkeypatch):
             for arr in (s.L, s.A, s.r):
                 assert np.all(np.diff(arr) >= -1e-9 * np.maximum(arr[:-1], 1.0))
 
-    # determinism under varying thread counts
+    # determinism under varying thread counts: 192 x 1001 positions are two
+    # workers' worth, so the second run goes through a pool
+    monkeypatch.setattr(mc.os, "cpu_count", lambda: 2)
+    pools_before = len(pool_sizes)
     runs = []
     for threads in ("1", "2"):
         monkeypatch.setenv(mc.THREADS_ENV_VAR, threads)
         runs.append(
-            mc.estimate(w.PearsonRayleigh((0.2, 0.0)), 500, sched, 192, SEED + 13)
+            mc.estimate(w.PearsonRayleigh((0.2, 0.0)), 1000, sched, 192, SEED + 13)
         )
     monkeypatch.delenv(mc.THREADS_ENV_VAR)
+    assert pool_sizes[pools_before:] == [2]
     assert runs[0] == runs[1]
 
     # Snyder-Steele bound never violated beyond five standard errors

@@ -258,10 +258,10 @@ def test_bad_input_exit_one(monkeypatch, capsys, argv, threads, forbidden, text)
          1, "error: covariance too large"),
         (["limits", "--model", "gauss:1e308,0,1e308"], 1, "error: covariance too large"),
         (["limits", "--model", "gauss:1,1e200,1"], 1, "error: covariance too large"),
-        # the fourth power in the standard error of var_A overflows
-        (["simulate", "--model", "pr:1e78,0", "--steps", "100", "--replicates", "4", "--schedule", "explicit:100"],
+        # Var A_n, about 4e313, leaves the float range
+        (["simulate", "--model", "pr:1e155,0", "--steps", "100", "--replicates", "4", "--schedule", "explicit:100"],
          2, "numeric failure: overflow"),
-        # the squares in Var L_n overflow
+        # Var L_n leaves the float range
         (["simulate", "--model", "pr:1e306,0", "--steps", "100", "--replicates", "2"], 2, "numeric failure: overflow"),
         # the perimeters themselves are infinite
         (["clt", "--model", "pr:1e306,1", "--steps", "100", "--replicates", "4"],
@@ -281,6 +281,18 @@ def test_overflow_one_stderr_line(tmp_path, capsys, argv, code, text):
     err = capsys.readouterr().err
     assert err.startswith(text) and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_aggregates_in_range_do_not_overflow(tmp_path):
+    # Var A_n is about 4e159 and its standard error about 2e159; the fourth
+    # powers behind that error, about 1e324, are taken in power-of-two units
+    out = tmp_path / "o.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--model", "pr:1e78,0", "--steps", "100", "--replicates", "4",
+                     "--schedule", "explicit:100", "--out", str(out)]) == 0
+    row = dict(zip(*[line.split(",") for line in out.read_text().splitlines()[-2:]]))
+    assert 1e159 < float(row["var_A"]) < 1e160 and 1e158 < float(row["se_varA"]) < 1e160
 
 
 def test_bad_schedule_spec_names_the_spec(capsys):
@@ -491,6 +503,24 @@ def test_json_with_nan_exit_two(monkeypatch, tmp_path, capsys, command):
     assert not out.exists()
 
 
+# Work enough for two workers, so HULLWALK_THREADS=2 runs a pool and 1 does not.
+@pytest.mark.parametrize(
+    "argv",
+    [["constants", "--grid", "4096", "--replicates", "48", "--seed", "9"], ["exact", "--model", "lattice", "--steps", "8"]],
+    ids=["constants", "exact"],
+)
+def test_output_independent_of_threads_through_the_pool(monkeypatch, pool_sizes, tmp_path, argv):
+    monkeypatch.setattr(cli.montecarlo.os, "cpu_count", lambda: 2)
+    outputs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("HULLWALK_THREADS", threads)
+        out = tmp_path / f"t{threads}.json"
+        assert main([*argv, "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert pool_sizes == [2]
+    assert outputs[0] == outputs[1]
+
+
 def test_constants_small_run(tmp_path):
     out = tmp_path / "c.json"
     assert main(["constants", "--grid", "4096", "--replicates", "48", "--seed", "9",
@@ -532,6 +562,18 @@ def _report_rows(csv_p, tmp_path) -> list[dict]:
     rep_p = tmp_path / "rep.json"
     assert main(["report", "--in", str(csv_p), "--out", str(rep_p)]) == 0
     return json.loads(rep_p.read_text())["report"]
+
+
+def test_report_tiny_covariance(tmp_path):
+    # det Sigma = 1e-610 is below the float range, but (pi/2) sqrt(det Sigma)
+    # and the squares behind each standard error are not
+    rows = _report_rows(_simulate(tmp_path, model="gauss:1e-300,0,1e-310", seed=1), tmp_path)
+    assert [(r["quantity"], r["verdict"]) for r in rows] == [
+        ("4E_norm_Y", "consistent"), ("pi_over_2_sqrt_det", "consistent"), ("u0_like", "consistent"),
+        ("ss_bound", "consistent"),
+    ]
+    assert all(r["std_error"] > 0.0 for r in rows)
+    assert math.isclose(rows[1]["theoretical"], 0.5 * math.pi * 1e-305, rel_tol=1e-12)
 
 
 def test_report_snyder_steele_row(tmp_path):

@@ -41,13 +41,35 @@ def test_estimate_repeat_runs_identical():
     assert a == b
 
 
-def test_estimate_independent_of_worker_count(monkeypatch):
+def test_estimate_independent_of_worker_count(monkeypatch, pool_sizes):
+    # 192 x 1001 positions: two workers' worth, so threads 2 and 3 run a pool
+    monkeypatch.setattr(mc.os, "cpu_count", lambda: 2)
     sched = CheckpointSchedule.geometric(10, 2.0)
     results = []
     for threads in ("1", "2", "3"):
         monkeypatch.setenv(mc.THREADS_ENV_VAR, threads)
-        results.append(mc.estimate(w.Gaussian(), 400, sched, 192, 5))
+        results.append(mc.estimate(w.Gaussian(), 1000, sched, 192, 5))
+    assert pool_sizes == [2, 2]
     assert results[0] == results[1] == results[2]
+
+
+def _zeros_block(lo: int, hi: int) -> np.ndarray:
+    return np.zeros(hi - lo)
+
+
+# (replicates, positions per replicate or None for the 3-argument call, workers
+# or None for inline): each worker gets at least 2**16 positions, and the
+# 3-argument call 64 replicates
+@pytest.mark.parametrize(
+    "total, positions, workers",
+    [(50, 393_219, 2), (200, 51, None), (2, 65_536, 2), (1, 131_072, None), (127, None, None), (128, None, 2)],
+)
+def test_pool_sized_by_work(monkeypatch, pool_sizes, total, positions, workers):
+    monkeypatch.setattr(mc.os, "cpu_count", lambda: 2)
+    monkeypatch.setenv(mc.THREADS_ENV_VAR, "2")
+    args = () if positions is None else (positions,)
+    assert np.array_equal(mc._map_replicates(_zeros_block, total, (), *args), np.zeros(total))
+    assert pool_sizes == ([] if workers is None else [workers])
 
 
 def test_worker_count_capped_at_cpu_count(monkeypatch):
@@ -63,6 +85,19 @@ def test_worker_count_capped_at_cpu_count(monkeypatch):
     monkeypatch.setenv(mc.THREADS_ENV_VAR, "0")
     with pytest.raises(ValueError):
         mc.worker_count()
+
+
+def test_aggregates_scale_exactly():
+    # the sums run in power-of-two units: squares of values near 1e-300 do not
+    # underflow, and ordinary values keep numpy's own bits
+    v = np.random.default_rng(3).standard_normal(500) * 7.0 + 40.0
+    mean, se = mc._mean_se(v)
+    assert (mean, se) == (float(v.mean()), float(v.std(ddof=1)) / math.sqrt(500))
+    for e in (-1000, -300, 0, 300):
+        assert mc._mean_se(v * 2.0**e) == (mean * 2.0**e, se * 2.0**e)
+    var, var_se = mc._var_se(v)
+    for e in (-500, -250, 0, 250):
+        assert mc._var_se(v * 2.0**e) == (var * 4.0**e, var_se * 4.0**e)
 
 
 def test_estimate_drift_perimeter_rate():
@@ -249,6 +284,16 @@ def test_enumeration_matches_scalar_dfs(spec, n):
     L_ref, A_ref = _dfs_functionals(model, n)
     assert np.array_equal(L, L_ref) and np.array_equal(A, A_ref)
     assert p.tolist() == model.support()[1].tolist()
+
+
+def test_enumeration_block_independent_of_its_range():
+    # a block whose chunks start off the 4096 grid gives the rows of the whole
+    model = w.parse_model("lattice")
+    steps = np.asarray(model.support()[0], dtype=float)
+    L, A, _ = mc._enumerate_functionals(model, 7)
+    assert L.flags.c_contiguous and A.flags.c_contiguous
+    block = mc._enum_block(1000, 9001, steps, 7)
+    assert np.array_equal(block[:, 0], L[1000:9001]) and np.array_equal(block[:, 1], A[1000:9001])
 
 
 def test_enumeration_refuses_non_integer_steps():

@@ -256,6 +256,31 @@ def test_psd_sqrt_closed_form():
     assert np.all(w.psd_sqrt(np.zeros((2, 2))) == 0.0)
 
 
+# Variances whose product or ratio leaves the float range: the root and the
+# determinant are taken in power-of-two units, so neither underflows.
+@pytest.mark.parametrize("a, c", [(1e-300, 1e-310), (1e-200, 1e-200), (1e300, 1e-300), (1e10, 1e-300)])
+def test_root_and_determinant_at_extreme_scales(a, c):
+    root = w.psd_sqrt(np.diag([a, c]))
+    assert root[0, 1] == root[1, 0] == 0.0
+    assert math.isclose(root[0, 0], math.sqrt(a), rel_tol=1e-15)
+    assert math.isclose(root[1, 1], math.sqrt(c), rel_tol=1e-12)  # 1e-310 is subnormal
+    assert math.isclose(w.sqrt_det(np.diag([a, c])), math.sqrt(a) * math.sqrt(c), rel_tol=1e-12)
+
+
+def test_root_and_determinant_scale_exactly():
+    # a power-of-two multiple of the covariance, across the float range
+    rng = np.random.default_rng(2)
+    for _ in range(20):
+        m = rng.standard_normal((2, 2))
+        cov = m @ m.T
+        root, root_det = w.psd_sqrt(cov), w.sqrt_det(cov)
+        assert root_det == math.sqrt(max(np.linalg.det(cov), 0.0))
+        for e in range(-500, 251, 50):  # beyond 4**250 the determinant overflows
+            assert np.array_equal(w.psd_sqrt(cov * 4.0**e), root * 2.0**e)
+            # np.linalg.det goes through log|det|, which does not scale exactly
+            assert math.isclose(w.sqrt_det(cov * 4.0**e), root_det * 4.0**e, rel_tol=1e-12)
+
+
 @pytest.mark.parametrize("spec", ["gauss", "gauss:2,0,0.5", "gauss:0,0,1", "gauss:1,0,0,0.3,-2"])
 def test_diagonal_root_scaling_equals_matrix_product(spec):
     # where a root entry is 0, z * 0 may be -0.0 where the product gave +0.0:
