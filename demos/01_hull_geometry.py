@@ -3,49 +3,42 @@
 Run:  python3 demos/01_hull_geometry.py
 """
 
-import math
-
 import numpy as np
 
-from hullwalk.geom2d import (
-    area,
-    cauchy_perimeter,
-    convex_hull,
-    dist_origin_to_boundary,
-    hausdorff,
-    perimeter,
-    steiner_area,
-    support,
-)
+from hullwalk.geom2d import cauchy_perimeter, convex_hull, orient2d
+from hullwalk.hullstream import CheckpointSchedule, functional_series
+
+
+def functionals(points):
+    """(L, A, r) of hull(points), as every command computes them for a path's hull."""
+    s = functional_series(np.asarray(points, dtype=float), CheckpointSchedule.explicit([len(points) - 1]))
+    return float(s.L[0]), float(s.A[0]), float(s.r[0])
+
 
 # A square with an interior point: the hull keeps only the extreme points.
-square = convex_hull([(0, 0), (1, 0), (1, 1), (0, 1), (0.5, 0.5)])
-print("square vertices:", square.vertices.tolist())
-print("perimeter:", perimeter(square), " area:", area(square))
+# r is the distance from the origin to the boundary: 0 at a vertex.
+square = [(0, 0), (1, 0), (1, 1), (0, 1), (0.5, 0.5)]
+print("square vertices:", convex_hull(square).vertices.tolist())
+print("perimeter, area, inradius:", functionals(square))
 
 # Collinear points collapse to a segment.  Flat sets carry the factor-two
 # perimeter convention: the boundary of a segment is walked both ways.
-segment = convex_hull([(0, 0), (1, 0), (2, 0)])
-print("\nsegment:", segment.vertices.tolist(), "-> perimeter", perimeter(segment))
+segment = [(0, 0), (1, 0), (2, 0)]
+print("\nsegment:", convex_hull(segment).vertices.tolist(), "-> (L, A, r)", functionals(segment))
 
 # Cauchy's formula integrates the projected width over directions and is an
 # independent route to the same perimeter, degenerate cases included.
-print("cauchy oracle, square :", cauchy_perimeter([(0, 0), (1, 0), (1, 1), (0, 1)], 4096))
-print("cauchy oracle, segment:", cauchy_perimeter([(0, 0), (2, 0)], 4096))
+print("cauchy oracle, square :", cauchy_perimeter(square, 4096))
+print("cauchy oracle, segment:", cauchy_perimeter(segment, 4096))
 
-# Support function and Hausdorff distance between convex bodies.
-print("\nsupport of square at (1,0):", support(square, (1.0, 0.0)))
-shifted = convex_hull(square.vertices + np.array([3.0, 0.0]))
-print("hausdorff(square, square+3e1):", hausdorff(square, shifted))
-
-# Steiner's parallel-body identity: area + r * perimeter + pi r^2.
-r = 0.25
-print("\nsteiner area of square at r=0.25:", steiner_area(square, r))
-print("by hand:", area(square) + r * perimeter(square) + math.pi * r * r)
+# The orientation test is exact: these points are off the line y = 3x only
+# by rounding, and a thin triangle of area 2.5e-214 stays a triangle.
+o, a, p = (0.1, 0.3), (0.2, 0.6), (0.3, 0.9)
+print("\norient2d of three almost collinear points:", orient2d(o, a, p))
+print("thin triangle's hull:", convex_hull([(0.0, 0.0), (1.0, 1.0), (4.95e-214, 0.0)]).vertices.tolist())
 
 # Distance from the origin to the hull boundary (the walk's inradius).
-centered = convex_hull([(-1, -1), (1, -1), (1, 1), (-1, 1)])
-print("\ninradius of [-1,1]^2:", dist_origin_to_boundary(centered))
+print("\ninradius of [-1,1]^2:", functionals([(-1, -1), (1, -1), (1, 1), (-1, 1)])[2])
 
 # Random cloud: hull of hull equals hull, and the Cauchy oracle agrees.
 rng = np.random.default_rng(0)
@@ -53,4 +46,4 @@ cloud = rng.standard_normal((300, 2))
 poly = convex_hull(cloud)
 again = convex_hull(poly.vertices)
 print("\nrandom cloud hull size:", len(poly.vertices), " idempotent:", np.array_equal(poly.vertices, again.vertices))
-print("perimeter vs cauchy:", perimeter(poly), cauchy_perimeter(cloud, 4096))
+print("perimeter vs cauchy:", functionals(cloud)[0], cauchy_perimeter(cloud, 4096))

@@ -5,7 +5,8 @@ output, to --out or stdout.  Simulation output is CSV with a '#'-prefixed
 metadata header; everything else is JSON.  ``report`` rebuilds the model from
 the CSV's '# model:' line and checks the run against that model's limits.
 simulate, clt and constants refuse, before any sampling, a run over 10^10
-steps in all or a path over 2^25 steps; no option overrides either guard.
+steps in all, a path over 2^25 steps, or a seed outside [0, 2^64), which the
+random streams would alias to one inside; no option overrides these guards.
 Exit codes: 0 success; 1 a configuration or validation error (a ValueError,
 or an OSError on a file); 2 a numeric failure (a FloatingPointError: a NaN or
 infinity in results, or a walk, a hull functional or an aggregate that
@@ -54,6 +55,12 @@ def _guard_work(label: str, work: int, limit: int):
     """Refuse a run whose work exceeds ``limit``, before any sampling."""
     if work > limit:
         raise ValueError(f"{label} = {work} exceeds the budget guard {limit}")
+
+
+def _check_seed(seed: int):
+    """Refuse a seed outside [0, 2**64): Philox keys on it modulo 2**64, so it would alias one inside."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -133,6 +140,7 @@ def cmd_simulate(args) -> int:
         raise ValueError(f"replicates must be >= 2, got {args.replicates}")
     _guard_work("steps * replicates", args.steps * args.replicates, MAX_WORK)
     _guard_work("steps per path", args.steps, MAX_PATH_STEPS)
+    _check_seed(args.seed)
     checkpoints = sched.resolve(args.steps)
     if not checkpoints:
         raise ValueError(f"schedule {sched.spec_string()!r} gives no checkpoints")
@@ -191,6 +199,7 @@ def cmd_clt(args) -> int:
     model = parse_model(args.model)
     _guard_work("steps * replicates", args.steps * args.replicates, MAX_WORK)
     _guard_work("steps per path", args.steps, MAX_PATH_STEPS)
+    _check_seed(args.seed)
     try:
         result = montecarlo.clt_test(model, args.steps, args.replicates, args.seed)
     except ValueError as exc:
@@ -213,6 +222,7 @@ def cmd_clt(args) -> int:
 def cmd_constants(args) -> int:
     _guard_work("grid * replicates", args.grid * args.replicates, MAX_WORK)
     _guard_work("grid steps per path", args.grid, MAX_PATH_STEPS)
+    _check_seed(args.seed)
     ests = limits.brownian_constant_estimates(args.grid, args.replicates, args.seed)
     report = limits.assemble_report(limits.brownian_reference_values(), ests)
     out = {

