@@ -1,23 +1,26 @@
 """Command-line interface: simulate | limits | clt | constants | exact | report.
 
-Each command reads its options and at most one input file, and writes one
-output, to --out or stdout.  Simulation output is CSV with a '#'-prefixed
-metadata header; everything else is JSON.  ``report`` rebuilds the model from
-the CSV's '# model:' line and checks the run against that model's limits.
+The commands parse their options, guard their inputs, call the library and
+write what it returns; every reference value, bound and verdict rule comes
+from ``limits`` or ``montecarlo``.  Each command reads its options and at
+most one input file, and writes one output, to --out or stdout.  Simulation
+output is CSV with a '#'-prefixed metadata header; everything else is JSON.
+``report`` rebuilds the model from the CSV's '# model:' line and checks the
+run's final checkpoint against ``limits.model_references`` for that model.
 simulate, clt and constants refuse, before any sampling, a run over 10^10
 steps in all, a path over 2^25 steps, or a seed outside [0, 2^64), which the
 random streams would alias to one inside; no option overrides these guards.
 Exit codes: 0 success; 1 a configuration or validation error (a ValueError,
 or an OSError on a file); 2 a numeric failure (a FloatingPointError: a NaN or
 infinity in results, or a walk, a hull functional or an aggregate that
-overflows the float range), memory exhaustion or a worker process that died.  The HULLWALK_THREADS environment variable caps the worker processes
-(at most one per CPU) without changing any output.
+overflows the float range), memory exhaustion or a worker process that died.
+The HULLWALK_THREADS environment variable caps the worker processes (at most
+one per CPU) without changing any output.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -169,29 +172,8 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _model_limits(model) -> dict:
-    """The limit constants and bounds of ``model``, keyed as ``limits`` writes them.
-
-    A model with infinite variance gets its drift rate only, and ``heavy_tail``.
-    """
-    mom = model.moments()
-    out: dict = {"model": model.spec_string(), "norm_mu": mom.norm_mu}
-    if mom.finite_variance:
-        out.update(dict(limits.limit_constants(mom)))
-        identity = mom.Sigma == ((1.0, 0.0), (0.0, 1.0))
-        out["u0_bounds"] = list(limits.u0_bounds(mom.sigma2, identity=identity))
-        out["v0_bounds"] = list(limits.v0_bounds())
-        out["v_plus_bounds"] = list(limits.vplus_bounds())
-        out["det_Sigma"] = mom.det_Sigma
-        out["sigma2_perp"] = mom.sigma2_perp
-    else:
-        out["2norm_mu"] = 2.0 * mom.norm_mu
-        out["heavy_tail"] = True
-    return out
-
-
 def cmd_limits(args) -> int:
-    _write_json(args.out, _model_limits(parse_model(args.model)))
+    _write_json(args.out, limits.model_limits(parse_model(args.model)))
     return 0
 
 
@@ -240,7 +222,6 @@ def cmd_exact(args) -> int:
     model = parse_model(args.model)
     check = montecarlo.martingale_decomposition_check(model, args.steps)
     ex = check.moments
-    ok = math.isclose(check.lhs, check.rhs, rel_tol=1e-10, abs_tol=1e-12)
     out = {
         "model": model.spec_string(),
         "steps": args.steps,
@@ -249,7 +230,7 @@ def cmd_exact(args) -> int:
         "EA": ex.EA,
         "mdiff_lhs": check.lhs,
         "mdiff_rhs": check.rhs,
-        "mdiff_check": "ok" if ok else "mismatch",
+        "mdiff_check": "ok" if check.holds else "mismatch",
     }
     _write_json(args.out, out)
     return 0
@@ -294,64 +275,19 @@ def _read_simulate_csv(path: str) -> tuple[dict, list[dict]]:
     return meta, rows
 
 
-# One row per reported quantity: its name, the drift regime it belongs to
-# (None for both), the limits key holding its constant ("constant"), its
-# (low, high) bounds ("bounds") or an upper bound above 0 ("upper"), the CSV
-# value and standard-error columns, and its divisor at the final n.  A row
-# is read only when its key is present and its divisor is nonzero.
-_REPORT_ROWS = (
-    ("2norm_mu", True, "2norm_mu", "constant", "mean_L", "se_L", lambda lim, n: n),
-    ("4sigma2_mu", True, "4sigma2_mu", "constant", "var_L", "se_varL", lambda lim, n: n),
-    ("drift_area_coeff", True, "drift_area_coeff", "constant", "mean_A", "se_A",
-     lambda lim, n: n**1.5),
-    ("v_plus", True, "v_plus_bounds", "bounds", "var_A", "se_varA",
-     lambda lim, n: lim["norm_mu"] ** 2 * (lim.get("sigma2_perp") or 0.0) * n**3),
-    ("4E_norm_Y", False, "4E_norm_Y", "constant", "mean_L", "se_L", lambda lim, n: math.sqrt(n)),
-    ("pi_over_2_sqrt_det", False, "pi_over_2_sqrt_det", "constant", "mean_A", "se_A",
-     lambda lim, n: n),
-    # u0 bounds in limits JSON are already scaled to this model's trace.
-    ("u0_like", False, "u0_bounds", "bounds", "var_L", "se_varL", lambda lim, n: n),
-    ("v0", False, "v0_bounds", "bounds", "var_A", "se_varA",
-     lambda lim, n: (lim.get("det_Sigma") or 0.0) * n**2),
-    # Snyder-Steele: Var L_n <= (pi^2/2) sigma^2 n at every n.
-    ("ss_bound", None, "ss_bound", "upper", "var_L", "se_varL", lambda lim, n: n),
-)
-# The (theoretical, bounds) pair of a reference row, from its limits value.
-_REFERENCE = {
-    "constant": lambda v: (v, None),
-    "bounds": lambda v: (None, tuple(v)),
-    "upper": lambda v: (None, (0.0, v)),
-}
-
-
 def cmd_report(args) -> int:
     meta, rows = _read_simulate_csv(args.csv_in)
     if "model" not in meta:
         raise ValueError(f"{args.csv_in} has no '# model:' line")
-    lim = _model_limits(parse_model(meta["model"]))
-    final = rows[-1]
-    n = final["n"]
+    model = parse_model(meta["model"])
+    n = rows[-1]["n"]
     if n < 1:
         raise ValueError("final checkpoint must be at least 1")
-    drift = lim["norm_mu"] > 0.0
-    references, estimates = [], {}
-    for q, regime, key, kind, value, se, divisor in _REPORT_ROWS:
-        if regime not in (None, drift) or key not in lim:
-            continue
-        d = divisor(lim, n)
-        if not d:
-            continue
-        references.append((q, *_REFERENCE[kind](lim[key])))
-        estimates[q] = montecarlo.MonteCarloEstimate(int(n), q, final[value] / d, final[se] / d)
-    if not estimates:
-        raise ValueError(f"model {lim['model']!r} has no quantity to report")
-    report = limits.assemble_report(references, estimates)
-    if "heavy_tail" in lim:
-        # the standard errors estimate an infinite variance, so no verdict holds
-        report = [dataclasses.replace(r, verdict="untested") for r in report]
+    final = {(stat, attr): rows[-1][column] for column, stat, attr in _CSV_FIELDS}
+    report = limits.model_report(model, n, final)
     out = {
         "source": args.csv_in,
-        "model": lim["model"],
+        "model": model.spec_string(),
         "n": int(n),
         "report": [r.to_dict() for r in report],
     }

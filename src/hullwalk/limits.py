@@ -8,16 +8,18 @@ drift, the Brownian hull constants (Letac/Takacs sqrt(8 pi), E a_1 = pi/2,
 E atilde_1 = sqrt(2 pi)/3, Feller's 4 log 2), the Rogers-Shepp double
 integral for E[l_1^2], and Goldman's bridge-perimeter variance.
 
-Verdicts come from ``assemble_report``, which takes ordered reference rows
+``model_references`` decides what a walk is checked against, and
+``model_limits`` is what the ``limits`` command writes.  Verdicts come from
+``assemble_report``, which takes ordered reference rows
 ``(quantity, theoretical, bounds)`` and a dict of Monte Carlo estimates and
 calls an estimate consistent only when it lies within five standard errors
-of the row's value and bounds.
+of the row's value and bounds; ``model_report`` applies it to a walk's run.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -95,16 +97,12 @@ def gaussian_spacetime_area_exact(n: int) -> float:
     """Exact E A_n for steps (1, xi) with xi standard normal.
 
     For this walk the triangle means collapse and the area formula becomes
-    (2 pi)^(-1/2) sum_{k=2}^n sqrt(k) sum_{m=1}^{k-1} 1/sqrt(m (k - m)).
+    (2 pi)^(-1/2) sum_{k=2}^n sqrt(k) partial_sum_pi(k).
     Scaled by n^(-3/2) it converges to sqrt(2 pi) / 3.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    inv_sqrt = 1.0 / np.sqrt(np.arange(1, n, dtype=float))
-    total = 0.0
-    for k in range(2, n + 1):
-        inner = float(np.dot(inv_sqrt[: k - 1], inv_sqrt[k - 2 :: -1]))
-        total += math.sqrt(k) * inner
+    total = sum(math.sqrt(k) * partial_sum_pi(k) for k in range(2, n + 1))
     return total / math.sqrt(2.0 * math.pi)
 
 
@@ -117,7 +115,7 @@ def partial_sum_pi(k: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Gaussian norm mean and the limit constants
+# Gaussian norm mean, the limit constants and a walk's reference rows
 # ---------------------------------------------------------------------------
 
 
@@ -146,35 +144,74 @@ def expected_norm_gaussian(Sigma) -> float:
     return math.ldexp(integral, k) / math.sqrt(8.0 * math.pi)
 
 
-def limit_constants(mom: MomentSummary) -> list[tuple[str, float]]:
-    """Named limit constants for the walk's hull functionals.
+def model_references(mom: MomentSummary, n: float) -> list[tuple]:
+    """Reference rows ``(quantity, theoretical, bounds, statistic, scale)`` for a walk at step n.
 
-    Drift models get the linear perimeter rate 2|mu|, the perimeter variance
-    rate 4 sigma2_mu and the n^(3/2) area coefficient; zero-drift models get
-    the sqrt(n) perimeter coefficient 4 E|Y| and the area rate
-    (pi/2) sqrt(det Sigma).  The Snyder-Steele variance bound is always
-    included.
+    A row checks a ``montecarlo.estimate`` statistic at n over ``scale``
+    against a limit constant or (low, high) bounds: 2|mu|, 4 sigma2_mu, the
+    n^(3/2) area coefficient and v_plus under drift; 4 E|Y|, (pi/2) sqrt(det
+    Sigma), u0 and v0 without.  Snyder-Steele, which holds at every n, comes
+    last.  A row of scale 0 is left out (sigma2_perp = 0 drops v_plus,
+    det Sigma = 0 drops v0); infinite variance leaves the drift rate only.
+    """
+    drift = mom.norm_mu > 0.0
+    rows = [("2norm_mu", 2.0 * mom.norm_mu, None, "meanL", n)] if drift else []
+    if not mom.finite_variance:
+        return rows
+    if drift:
+        rows += [
+            ("4sigma2_mu", 4.0 * mom.sigma2_mu, None, "varL", n),
+            ("drift_area_coeff", mom.norm_mu * math.sqrt(2.0 * math.pi * mom.sigma2_perp) / 3.0, None,
+             "meanA", n**1.5),
+            ("v_plus", None, vplus_bounds(), "varA", mom.norm_mu**2 * mom.sigma2_perp * n**3),
+        ]
+    else:
+        Sigma = mom.sigma_matrix()
+        rows += [
+            ("4E_norm_Y", 4.0 * expected_norm_gaussian(Sigma), None, "meanL", math.sqrt(n)),
+            ("pi_over_2_sqrt_det", 0.5 * math.pi * sqrt_det(Sigma), None, "meanA", n),
+            ("u0_like", None, _model_u0_bounds(mom), "varL", n),
+            ("v0", None, v0_bounds(), "varA", mom.det_Sigma * n**2),
+        ]
+    # Snyder-Steele: Var L_n <= (pi^2/2) sigma^2 n at every n.
+    rows.append(("ss_bound", None, (0.0, u0_bounds(mom.sigma2)[1]), "varL", n))
+    return [row for row in rows if row[4]]
+
+
+def limit_constants(mom: MomentSummary) -> list[tuple[str, float]]:
+    """The constants of the ``model_references`` rows, then ``ss_bound``, the Snyder-Steele row's bound.
 
     Raises:
         ValueError: for models without a finite second moment.
     """
     if not mom.finite_variance:
         raise ValueError("limit constants need a finite second moment")
-    out: list[tuple[str, float]] = []
-    if mom.norm_mu > 0.0:
-        out.append(("2norm_mu", 2.0 * mom.norm_mu))
-        out.append(("4sigma2_mu", 4.0 * mom.sigma2_mu))
-        out.append(
-            (
-                "drift_area_coeff",
-                mom.norm_mu * math.sqrt(2.0 * math.pi * mom.sigma2_perp) / 3.0,
-            )
-        )
+    rows = model_references(mom, 1.0)
+    return [(q, theo) for q, theo, _, _, _ in rows if theo is not None] + [("ss_bound", rows[-1][2][1])]
+
+
+def _model_u0_bounds(mom: MomentSummary) -> tuple[float, float]:
+    """``u0_bounds`` at trace Sigma, with the sharper lower bound when Sigma = I."""
+    return u0_bounds(mom.sigma2, identity=mom.Sigma == ((1.0, 0.0), (0.0, 1.0)))
+
+
+def model_limits(model) -> dict:
+    """The limit constants and bounds of ``model``, as the ``limits`` command writes them.
+
+    A model with infinite variance gets its drift rate only, and ``heavy_tail``.
+    """
+    mom = model.moments()
+    out: dict = {"model": model.spec_string(), "norm_mu": mom.norm_mu}
+    if mom.finite_variance:
+        out.update(limit_constants(mom))
+        out["u0_bounds"] = list(_model_u0_bounds(mom))
+        out["v0_bounds"] = list(v0_bounds())
+        out["v_plus_bounds"] = list(vplus_bounds())
+        out["det_Sigma"] = mom.det_Sigma
+        out["sigma2_perp"] = mom.sigma2_perp
     else:
-        Sigma = mom.sigma_matrix()
-        out.append(("4E_norm_Y", 4.0 * expected_norm_gaussian(Sigma)))
-        out.append(("pi_over_2_sqrt_det", 0.5 * math.pi * sqrt_det(Sigma)))
-    out.append(("ss_bound", u0_bounds(mom.sigma2)[1]))
+        out["2norm_mu"] = 2.0 * mom.norm_mu
+        out["heavy_tail"] = True
     return out
 
 
@@ -304,12 +341,11 @@ def goldman_bridge_variance() -> float:
 
 
 def _brownian_block(lo: int, hi: int, grid_n: int, master_seed: int) -> np.ndarray:
-    identity = np.eye(2)
     out = np.empty((hi - lo, 5))
     for i in range(lo, hi):
         g = RngStream(master_seed, i).generator()
 
-        l1, a1, _ = _functionals_from_vertices(hull_vertices(brownian_path(identity, grid_n, g)))
+        l1, a1, _ = _functionals_from_vertices(hull_vertices(brownian_path(grid_n, g)))
 
         # the space-time path (t, w(t)) of a line Brownian motion
         st = sample_path(SpacetimeGaussian(), grid_n, g)
@@ -430,6 +466,30 @@ def assemble_report(references, estimates) -> list[LimitReport]:
             verdict = "consistent" if near and inside else "violated"
         out.append(LimitReport(q, theo, lo, hi, est, verdict))
     return out
+
+
+def model_report(model, n: float, final: dict) -> list[LimitReport]:
+    """Verdicts for a run of ``model`` from its statistics at the final step n.
+
+    ``final`` maps (statistic, attribute) of the ``montecarlo.estimate``
+    results at n, such as ("varL", "std_error"), to its value.  With infinite
+    variance every row reads ``untested``: no standard error then holds.
+
+    Raises:
+        ValueError: if no ``model_references`` row applies to the model.
+    """
+    mom = model.moments()
+    references = model_references(mom, n)
+    if not references:
+        raise ValueError(f"model {model.spec_string()!r} has no quantity to report")
+    estimates = {
+        q: MonteCarloEstimate(int(n), q, final[stat, "value"] / scale, final[stat, "std_error"] / scale)
+        for q, _, _, stat, scale in references
+    }
+    report = assemble_report([row[:3] for row in references], estimates)
+    if not mom.finite_variance:
+        report = [replace(r, verdict="untested") for r in report]
+    return report
 
 
 # ---------------------------------------------------------------------------

@@ -204,7 +204,8 @@ def norm_mean_estimates(model, ks, replicates: int, master_seed: int):
     if any(k < 1 for k in ks):
         raise ValueError("norm means need k >= 1")
     vals = _map_replicates(_norm_block, replicates, (model, ks, master_seed), max(ks) + 1)
-    return vals.mean(axis=0), vals.std(axis=0, ddof=1) / math.sqrt(replicates)
+    means, ses = np.array([_mean_se(column) for column in vals.T]).T
+    return means, ses
 
 
 # ---------------------------------------------------------------------------
@@ -432,6 +433,11 @@ class MartingaleCheck:
     @property
     def lhs(self) -> float:
         return self.moments.VarL
+
+    @property
+    def holds(self) -> bool:
+        """Whether the two sides agree to 1e-10 relative (1e-12 absolute); a NaN never does."""
+        return math.isclose(self.lhs, self.rhs, rel_tol=1e-10, abs_tol=1e-12)
 
 
 def martingale_decomposition_check(model, n: int) -> MartingaleCheck:

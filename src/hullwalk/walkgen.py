@@ -413,19 +413,16 @@ def sample_path(model, n: int, rng: np.random.Generator) -> np.ndarray:
     return pos
 
 
-def brownian_path(cov, grid_n: int, rng: np.random.Generator) -> np.ndarray:
-    """Discretized correlated Brownian motion on [0, 1].
+def brownian_path(grid_n: int, rng: np.random.Generator) -> np.ndarray:
+    """Discretized standard planar Brownian motion on [0, 1].
 
-    The Gaussian walk with covariance ``cov``, scaled by 1/sqrt(grid_n), so
-    its positions approximate sqrt(cov) b(k / grid_n).  Draws grid_n standard
-    normal pairs from ``rng``.
-
-    Raises:
-        ValueError: if ``cov`` is not symmetric positive semidefinite.
+    The standard Gaussian walk scaled by 1/sqrt(grid_n), so its positions
+    approximate b(k / grid_n).  Draws grid_n standard normal pairs from
+    ``rng``.
     """
     if grid_n < 1:
         raise ValueError(f"grid_n must be >= 1, got {grid_n}")
-    pos = sample_path(Gaussian(cov=cov), grid_n, rng)
+    pos = sample_path(Gaussian(), grid_n, rng)
     pos /= math.sqrt(grid_n)
     return pos
 
@@ -433,12 +430,11 @@ def brownian_path(cov, grid_n: int, rng: np.random.Generator) -> np.ndarray:
 def bridge_path(grid_n: int, rng: np.random.Generator) -> np.ndarray:
     """Standard planar Brownian bridge on [0, 1]: b(t) - t b(1) on a grid.
 
-    b is ``brownian_path(I, grid_n, rng)``, pinned in place, so the bridge
-    makes the same draws.
+    b is ``brownian_path(grid_n, rng)``, pinned in place, so the bridge makes
+    the same draws.
     """
-    pos = brownian_path(np.eye(2), grid_n, rng)
+    pos = brownian_path(grid_n, rng)
     t = np.arange(grid_n + 1) / grid_n
     pos[:, 0] -= t * pos[-1, 0]
     pos[:, 1] -= t * pos[-1, 1]
     return pos
-

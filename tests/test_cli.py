@@ -485,6 +485,20 @@ def _outputs_under_blas_threads(argv) -> list[str]:
     return outputs
 
 
+def test_exact_reports_a_mismatch(monkeypatch, tmp_path):
+    # the two sides 1e-6 apart, far outside the check's 1e-10 relative tolerance
+    check = cli.montecarlo.martingale_decomposition_check
+
+    def shifted(*args):
+        chk = check(*args)
+        return cli.montecarlo.MartingaleCheck(chk.moments, chk.rhs * (1 + 1e-6))
+
+    monkeypatch.setattr(cli.montecarlo, "martingale_decomposition_check", shifted)
+    out = tmp_path / "e.json"
+    assert main(["exact", "--model", "lattice", "--steps", "3", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["mdiff_check"] == "mismatch"
+
+
 def test_exact_independent_of_blas_threads():
     outputs = _outputs_under_blas_threads(["exact", "--model", "hex6", "--steps", "6"])
     assert outputs[0] == outputs[1]
@@ -651,6 +665,44 @@ def test_report_judges_the_csv_model(tmp_path):
     csv_p.write_text(csv_p.read_text().replace("# model: pr:0.2,0", "# model: gauss:1,0,1,0.2,0"))
     rows = {r["quantity"]: r for r in _report_rows(csv_p, tmp_path)}
     assert rows["4sigma2_mu"]["theoretical"] == 4.0 and rows["4sigma2_mu"]["verdict"] == "violated"
+
+
+@pytest.mark.parametrize(
+    "model, quantities",
+    [
+        # sigma2_perp = 0: no v_plus row
+        ("gauss:1,0,0,1,0", ["2norm_mu", "4sigma2_mu", "drift_area_coeff", "ss_bound"]),
+        # det Sigma = 0: no v0 row
+        ("gauss:1,0,0", ["4E_norm_Y", "pi_over_2_sqrt_det", "u0_like", "ss_bound"]),
+        # sigma2_mu = 0 but sigma2_perp = 1: v_plus stays
+        ("st-binary", ["2norm_mu", "4sigma2_mu", "drift_area_coeff", "v_plus", "ss_bound"]),
+    ],
+    ids=["gauss:1,0,0,1,0", "gauss:1,0,0", "st-binary"],
+)
+def test_report_drops_rows_of_scale_zero(tmp_path, model, quantities):
+    csv_p = _simulate(tmp_path, model, steps=100)
+    assert [r["quantity"] for r in _report_rows(csv_p, tmp_path)] == quantities
+
+
+# The limits key each report row stands for: a constant, or (low, high) bounds.
+_LIMITS_KEY = {"v_plus": "v_plus_bounds", "u0_like": "u0_bounds", "v0": "v0_bounds"}
+
+
+@pytest.mark.parametrize("model", ["pr", "pr:0.2,0", "gauss", "gauss:1,0.3,2", "lattice", "st-binary"])
+def test_report_uses_the_constants_limits_writes(tmp_path, model):
+    lim_p = tmp_path / "l.json"
+    assert main(["limits", "--model", model, "--out", str(lim_p)]) == 0
+    lim = json.loads(lim_p.read_text())
+    rows = _report_rows(_simulate(tmp_path, model, steps=100), tmp_path)
+    assert rows
+    for row in rows:
+        q = row["quantity"]
+        if q == "ss_bound":
+            assert (row["theoretical"], row["bound_low"], row["bound_high"]) == (None, 0.0, lim["ss_bound"])
+        elif q in _LIMITS_KEY:
+            assert row["theoretical"] is None and [row["bound_low"], row["bound_high"]] == lim[_LIMITS_KEY[q]]
+        else:
+            assert row["theoretical"] == lim[q] and row["bound_low"] is row["bound_high"] is None
 
 
 def test_report_needs_model_line(tmp_path, capsys):

@@ -235,6 +235,16 @@ def test_martingale_check_carries_enumeration_moments():
         assert chk.lhs == chk.moments.VarL
 
 
+def test_martingale_check_tolerance():
+    # the sides agree to 1e-10 relative, or 1e-12 absolute near 0; a NaN never agrees
+    var_one, var_zero = mc.ExactMoments(0.0, 1.0, 0.0), mc.ExactMoments(0.0, 0.0, 0.0)
+    assert mc.MartingaleCheck(var_one, 1.0 + 5e-11).holds
+    assert not mc.MartingaleCheck(var_one, 1.0 + 2e-10).holds
+    assert mc.MartingaleCheck(var_zero, 5e-13).holds
+    assert not mc.MartingaleCheck(var_zero, 2e-12).holds
+    assert not mc.MartingaleCheck(var_one, math.nan).holds
+
+
 # (EL, VarL, EA, martingale rhs), recorded from the enumeration before the hull
 # functionals moved to geom2d's kernel, and again (hex6 7, st-binary 12) before
 # the per-path DFS gave way to the batched hull; the enumeration must

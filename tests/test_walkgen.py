@@ -206,10 +206,8 @@ def test_moments_bits_pinned(spec):
 # ---------------------------------------------------------------------------
 
 
-def test_brownian_path_zero_cov_and_single_step():
-    p = w.brownian_path(np.zeros((2, 2)), 16, w.RngStream(1).generator())
-    assert np.all(p == 0.0)
-    q = w.brownian_path(np.eye(2), 1, w.RngStream(1).generator())
+def test_brownian_path_single_step():
+    q = w.brownian_path(1, w.RngStream(1).generator())
     assert q.shape == (2, 2)
 
 
@@ -217,18 +215,18 @@ def test_brownian_path_endpoint_second_moment():
     # E|S_N|^2 = trace(cov) = 2 by independence of the increments
     vals = []
     for i in range(600):
-        p = w.brownian_path(np.eye(2), 64, w.RngStream(11, i).generator())
+        p = w.brownian_path(64, w.RngStream(11, i).generator())
         vals.append(float(p[-1] @ p[-1]))
     vals = np.asarray(vals)
     se = vals.std(ddof=1) / math.sqrt(len(vals))
     assert abs(vals.mean() - 2.0) <= 3 * se
 
 
-def test_brownian_path_rejects_non_psd():
+def test_gaussian_rejects_non_psd():
     with pytest.raises(ValueError, match="covariance must be positive semidefinite"):
-        w.brownian_path([[1.0, 0.0], [0.0, -1.0]], 8, w.RngStream(0).generator())
+        w.Gaussian(cov=((1.0, 0.0), (0.0, -1.0)))
     with pytest.raises(ValueError, match="covariance must be symmetric"):
-        w.brownian_path([[1.0, 0.5], [0.0, 1.0]], 8, w.RngStream(0).generator())
+        w.Gaussian(cov=((1.0, 0.5), (0.0, 1.0)))
 
 
 def test_bridge_path_pinned_at_both_ends():
@@ -240,7 +238,7 @@ def test_bridge_path_pinned_at_both_ends():
 
 
 def test_bridge_path_is_pinned_brownian_path():
-    b = w.brownian_path(np.eye(2), 64, w.RngStream(5).generator())
+    b = w.brownian_path(64, w.RngStream(5).generator())
     t = np.arange(65)[:, None] / 64
     assert np.array_equal(w.bridge_path(64, w.RngStream(5).generator()), b - t * b[-1])
 
@@ -298,8 +296,8 @@ def test_brownian_area_scaling_with_paired_seeds():
 
     ratios = []
     for i in range(40):
-        p1 = w.brownian_path(np.eye(2), 4096, w.RngStream(21, i).generator())
-        p2 = w.brownian_path(2.0 * np.eye(2), 4096, w.RngStream(21, i).generator())
+        p1 = w.brownian_path(4096, w.RngStream(21, i).generator())
+        p2 = w.sample_path(w.Gaussian(cov=2.0 * np.eye(2)), 4096, w.RngStream(21, i).generator()) / math.sqrt(4096)
         a1 = _functionals_from_vertices(hull_vertices(p1))[1]
         a2 = _functionals_from_vertices(hull_vertices(p2))[1]
         ratios.append(a2 / a1)
