@@ -3,12 +3,14 @@
 ``functional_series`` makes one pass over the path: between consecutive
 checkpoints it folds the new positions into the running hull, carrying only
 the current extreme points forward, so the total work is O(n log n) however
-many checkpoints there are.  Large blocks first pass an octagon prefilter
-made of elementwise passes over the two coordinate columns; it makes no BLAS
-call, so neither its result nor its speed depends on BLAS threads.  Hulls of
-the non-degenerate blocks go through Qhull; collinear or tiny blocks fall
-back to the exact monotone chain.  The inradius is not edge-local, so it is
-evaluated lazily at checkpoints only.
+many checkpoints there are.  Large blocks first pass a block cull: the hull
+of every 64th point drops, whole, each run of 64 consecutive points whose
+bounding box lies strictly inside it, and then the single points inside it.
+It keeps the rest in input order and makes no BLAS call, so neither its
+result nor its speed depends on BLAS threads.  Hulls of the non-degenerate
+blocks go through Qhull; collinear or tiny blocks fall back to the exact
+monotone chain.  The inradius is not edge-local, so it is evaluated lazily
+at checkpoints only.
 
 ``batch_series`` recomputes every hull from scratch with ``geom2d``'s exact
 monotone chain and is the correctness oracle for the fast pass: its hull
@@ -31,7 +33,10 @@ from .walkgen import spec_number
 DEFAULT_GEOMETRIC_START = 10
 DEFAULT_GEOMETRIC_RATIO = 1.25
 
-# Below this many points the Akl-Toussaint pre-filter costs more than it saves.
+# Blocks of this many consecutive points are culled together, and every
+# _BLOCK-th point spans the inner hull that culls them.
+_BLOCK = 64
+# Below this many points the block cull costs more than it saves.
 _FILTER_MIN_POINTS = 4096
 
 
@@ -135,48 +140,88 @@ class FunctionalSeries:
 # ---------------------------------------------------------------------------
 
 
-def _prefilter(points: np.ndarray) -> np.ndarray:
-    """Drop points strictly inside the octagon of extremes in 8 directions.
+def _chains(cycle: np.ndarray) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """The lower and upper chains of a CCW cycle, each as its edges from left to right.
 
-    Every dropped point is a convex combination of kept ones, so the hull is
-    unchanged; for diffusive clouds this removes well over 90% of the input.
-    The directions (1, 0), (1, 1), (0, 1), (-1, 1) and their negatives have
-    entries in {0, +-1}, so the projections x, x + y, y, y - x are exact
-    elementwise sums and the extremes need no matrix product (no BLAS call).
-    The eight edge tests then run in two reused buffers, in units of a power
-    of two that bounds every coordinate: the scaling is exact, so the kept
-    points are the same at every scale, and no product overflows.
+    Both chains run from the cycle's lexicographic minimum to its maximum.
+    A chain's edges are (interior vertex x, edge start x, start y, dx, dy).
     """
-    x = points[:, 0].copy()
-    y = points[:, 1].copy()
-    box = [x.argmax(), y.argmax(), x.argmin(), y.argmin()]
-    unit = 2.0 ** -max(geom2d._exponent(points[box]), -1023)  # capped where it would overflow
-    x *= unit
-    y *= unit
-    t = x + y
-    u = y - x
-    idx = [box[0], t.argmax(), box[1], u.argmax(), box[2], t.argmin(), box[3], u.argmin()]
-    corners = np.column_stack([x[idx], y[idx]])
-    if (corners == corners[0]).all():  # every point is the same point
-        return points[:1]
-    scale = float(np.abs(corners).max(initial=0.0))
+    n = len(cycle)
+    order = np.lexsort((cycle[:, 1], cycle[:, 0]))
+    k = (order[-1] - order[0]) % n
+    ring = (np.arange(n + 1) + order[0]) % n  # the cycle from its minimum back to it
+    chains = []
+    for idx in (ring[: k + 1], ring[n : k - 1 : -1]):
+        x, y = cycle[idx, 0], cycle[idx, 1]
+        chains.append((x[1:-1], x[:-1], y[:-1], x[1:] - x[:-1], y[1:] - y[:-1]))
+    return chains[0], chains[1]
+
+
+def _cross(edges: tuple[np.ndarray, ...], x: np.ndarray, y: np.ndarray, side: str) -> np.ndarray:
+    """Cross product of each point (x, y) with the chain edge over its x: positive above the edge.
+
+    At the x of a vertex, ``side="right"`` takes the edge that starts there
+    and ``side="left"`` the edge that ends there.
+    """
+    xs, x0, y0, dx, dy = edges
+    j = np.searchsorted(xs, x, side=side)
+    return dx[j] * (y - y0[j]) - dy[j] * (x - x0[j])
+
+
+def _inside(chains, x: np.ndarray, ylo: np.ndarray, yhi: np.ndarray, tol: float) -> np.ndarray:
+    """Where (x, ylo) lies above the lower chain and (x, yhi) below the upper chain, each by more than tol.
+
+    A vertical edge can only close the lower chain or open the upper one; at
+    its x the cross product is taken with it, so a point on it is not inside.
+    """
+    lower, upper = chains
+    return (_cross(lower, x, ylo, "right") > tol) & (_cross(upper, x, yhi, "left") < -tol)
+
+
+def _prefilter(points: np.ndarray) -> np.ndarray:
+    """Drop points strictly inside the hull of every ``_BLOCK``-th point.
+
+    That inner hull's vertices are input points, so every dropped point is a
+    convex combination of kept ones.  The input is cut into blocks of
+    ``_BLOCK`` consecutive points: a block whose bounding box lies inside the
+    inner hull goes whole, and only the points of the other blocks are tested
+    one by one.  A point (or box corner) counts as inside when it lies above
+    the inner hull's lower chain and below its upper chain at its own x (one
+    ``searchsorted`` per chain, then one cross product), each by more than
+    ``1e-9 * scale**2``: far above the rounding of the test, so it is
+    strictly inside in exact arithmetic, and since the inner hull is convex,
+    a box whose corners are inside is inside.  The survivors keep their
+    input order.  Qhull then finds the same vertices as on the whole input,
+    and as a rule the same cycle; the cycle can start at another vertex
+    where a dropped point would have been a passing vertex of its
+    construction, which moves the perimeter and area by one rounding.
+
+    The tests make no BLAS call and run in units of a power of two that
+    bounds every coordinate, the inner hull's Qhull call included: the
+    scaling is exact, so the kept points are the same at every scale, and no
+    product overflows.  A flat sample has no inner hull; the input is then
+    returned unchanged.
+    """
+    starts = np.arange(0, len(points), _BLOCK)
+    lo = np.minimum.reduceat(points, starts, axis=0)
+    hi = np.maximum.reduceat(points, starts, axis=0)
+    unit = 2.0 ** -max(geom2d._exponent(lo), geom2d._exponent(hi), -1023)  # capped where it would overflow
+    lo *= unit
+    hi *= unit
+    inner = points[::_BLOCK] * unit
+    try:
+        chains = _chains(inner[_QhullConvexHull(inner).vertices])
+    except _QhullError:
+        return points
+    scale = max(float(np.abs(lo).max()), float(np.abs(hi).max()))
     tol = 1e-9 * scale * scale
-    inside = np.ones(len(points), dtype=bool)
-    above = np.empty(len(points), dtype=bool)
-    for i in range(8):
-        a = corners[i]
-        b = corners[(i + 1) % 8]
-        ex, ey = b[0] - a[0], b[1] - a[1]
-        if ex == 0.0 and ey == 0.0:
-            continue
-        # cross = ex * (y - ay) - ey * (x - ax), in t and u
-        np.subtract(y, a[1], out=t)
-        t *= ex
-        np.subtract(x, a[0], out=u)
-        u *= ey
-        t -= u
-        inside &= np.greater(t, tol, out=above)
-    return points[~inside]
+    boxes = np.ones(len(starts), dtype=bool)
+    for end in (lo, hi):  # the box's low corner at this end against the lower chain, its high one the upper
+        boxes &= _inside(chains, end[:, 0], lo[:, 1], hi[:, 1], tol)
+    idx = (np.flatnonzero(~boxes)[:, None] * _BLOCK + np.arange(_BLOCK)).ravel()
+    idx = idx[idx < len(points)]
+    x, y = (points[idx] * unit).T
+    return points[idx[~_inside(chains, x, y, y, tol)]]
 
 
 def hull_vertices(points: np.ndarray) -> np.ndarray:

@@ -102,7 +102,8 @@ def gaussian_spacetime_area_exact(n: int) -> float:
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    total = sum(math.sqrt(k) * partial_sum_pi(k) for k in range(2, n + 1))
+    r = 1.0 / np.sqrt(np.arange(1, n, dtype=float))
+    total = sum(math.sqrt(k) * _pi_sum(r[: k - 1]) for k in range(2, n + 1))
     return total / math.sqrt(2.0 * math.pi)
 
 
@@ -110,8 +111,12 @@ def partial_sum_pi(k: int) -> float:
     """sum_{m=1}^{k-1} 1/sqrt(m (k - m)); converges to pi as k grows."""
     if k < 2:
         raise ValueError(f"need k >= 2, got {k}")
-    m = np.arange(1, k, dtype=float)
-    return float((1.0 / np.sqrt(m * (k - m))).sum())
+    return _pi_sum(1.0 / np.sqrt(np.arange(1, k, dtype=float)))
+
+
+def _pi_sum(r: np.ndarray) -> float:
+    """sum_{m=1}^{k-1} m^(-1/2) (k - m)^(-1/2), from r = (m^(-1/2) for m = 1, ..., k - 1) times its reverse."""
+    return float((r * r[::-1]).sum())
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import re
 
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull, QhullError
 
 from hullwalk import hullstream as hs
 from hullwalk import walkgen as w
@@ -126,26 +127,8 @@ def test_equivalence_on_random_paths(spec):
             assert np.allclose(x, y, rtol=1e-9, atol=1e-12)
 
 
-# Paths of 5,000-20,000 points reach the octagon prefilter (hs._FILTER_MIN_POINTS).
+# Paths of 5,000-20,000 points reach the block prefilter (hs._FILTER_MIN_POINTS).
 PREFILTER_SPECS = ["gauss", "pr:0.4,0", "lattice", "hex6", "st-binary"]
-OCTANT_DIRS = np.array(
-    [[1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [-1.0, 1.0], [-1.0, 0.0], [-1.0, -1.0], [0.0, -1.0], [1.0, -1.0]]
-)
-
-
-def _prefilter_by_matmul(points):
-    """The octagon prefilter with its projections as one matrix product."""
-    corners = points[np.argmax(points @ OCTANT_DIRS.T, axis=0)]
-    scale = float(np.abs(corners).max(initial=0.0))
-    tol = 1e-9 * scale * scale
-    inside = np.ones(len(points), dtype=bool)
-    for i in range(8):
-        a, b = corners[i], corners[(i + 1) % 8]
-        ex, ey = b[0] - a[0], b[1] - a[1]
-        if ex == 0.0 and ey == 0.0:
-            continue
-        inside &= ex * (points[:, 1] - a[1]) - ey * (points[:, 0] - a[0]) > tol
-    return points[~inside]
 
 
 # at 2**1000 the coordinates pass 1e301, where a product of two overflows
@@ -161,17 +144,84 @@ def test_prefiltered_hull_matches_exact_chain(spec, scale):
         assert set(map(tuple, fast.tolist())) == set(map(tuple, exact.tolist()))
 
 
-@pytest.mark.parametrize("spec", PREFILTER_SPECS)
-def test_prefilter_matches_matmul_projection(spec):
-    model = w.parse_model(spec)
-    for i in range(4):
-        path = w.sample_path(model, 6000, w.RngStream(43, i).generator())
-        signed = path.copy()
-        signed[signed == 0.0] = -0.0  # lattice ties at a signed zero
-        for pts in (path, signed, -path, path * 2.0**-500):
-            fast, ref = hs._prefilter(pts), _prefilter_by_matmul(pts)
-            assert np.array_equal(fast, ref)
-            assert np.array_equal(np.signbit(fast), np.signbit(ref))
+def _scaled_spacetime_path(n, g):
+    """The space-time path that ``constants`` hulls: (t / n, w(t) / sqrt(n))."""
+    st = w.sample_path(w.SpacetimeGaussian(), n, g)
+    st[:, 0] /= n
+    st[:, 1] /= math.sqrt(n)
+    return st
+
+
+def _contract_path(spec, n, g):
+    return _scaled_spacetime_path(n, g) if spec == "st-scaled" else w.sample_path(w.parse_model(spec), n, g)
+
+
+def _indices_in_order(kept, points):
+    """Strictly increasing input indices of kept's rows, matched bitwise (-0.0 is not 0.0); None if there are none."""
+    rows = points.view(np.dtype((np.void, 16))).ravel().tolist()
+    out, j = [], 0
+    for row in kept.view(np.dtype((np.void, 16))).ravel().tolist():
+        while j < len(rows) and rows[j] != row:
+            j += 1
+        if j == len(rows):
+            return None
+        out.append(j)
+        j += 1
+    return np.array(out, dtype=int)
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0**-500, 2.0**500, 2.0**1000])
+@pytest.mark.parametrize("spec", [*PREFILTER_SPECS, "st-gauss", "pareto:1.5,0.3,0", "st-scaled"])
+def test_prefilter_drops_only_interior_points_in_order(spec, scale):
+    m = hs._FILTER_MIN_POINTS
+    for size in (m - 1, m, m + 1, 5 * m + 37):
+        path = _contract_path(spec, size - 1, w.RngStream(43, size).generator()) * scale
+        exact = hs.geom2d.convex_hull(path).vertices
+        try:
+            ref = path[ConvexHull(path).vertices]
+        except QhullError:  # past 1e150 Qhull refuses the survivors too, and the exact chain decides
+            assert scale > 1.0
+            ref = exact
+        fast = hs.hull_vertices(path)  # the same cycle on these paths, though not on every input
+        assert np.array_equal(fast, ref) and np.array_equal(np.signbit(fast), np.signbit(ref))
+        kept = hs._prefilter(path)
+        idx = _indices_in_order(kept, path)
+        assert idx is not None
+        dropped = np.setdiff1d(np.arange(len(path)), idx)
+        assert len(dropped) > 0.5 * len(path)
+        hull = exact.tolist()
+        for q in path[dropped[:: max(1, len(dropped) // 16)]].tolist():
+            assert all(hs.geom2d.orient2d(a, b, q) > 0 for a, b in zip(hull, hull[1:] + hull[:1]))
+
+
+def test_prefilter_keeps_under_two_percent_of_long_paths():
+    # the paths `constants` and drift-long hull; the octagon of extremes that
+    # this filter replaced kept up to 3.7 %, 2.0 %, 27 % and 41 % of them
+    for i in range(3):
+        g = w.RngStream(45, i).generator()
+        paths = {
+            "brownian": w.brownian_path(2**17, g),
+            "bridge": w.bridge_path(2**17, g),
+            "space-time": _scaled_spacetime_path(2**17, g),
+            "pr:0.4,0": w.sample_path(w.parse_model("pr:0.4,0"), 10**5, g),
+        }
+        for name, path in paths.items():
+            assert len(hs._prefilter(path)) <= 0.02 * len(path), name
+
+
+@pytest.mark.parametrize("turns", range(4))
+def test_prefilter_keeps_points_on_a_vertical_edge(turns):
+    # the inner hull is the unit square; the points in the middle of its left
+    # and right edges are on its boundary, where the chains meet a vertical edge
+    pts = np.full((hs._FILTER_MIN_POINTS, 2), 0.5)
+    pts[[0, 64, 128, 192]] = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
+    pts[[1000, 1001]] = [[0.0, 0.5], [1.0, 0.5]]
+    for _ in range(turns):
+        pts = np.column_stack([-pts[:, 1], pts[:, 0]])
+    kept = hs._prefilter(pts)
+    assert len(kept) < 200
+    for q in pts[[1000, 1001]]:
+        assert (kept == q).all(axis=1).any()
 
 
 def test_prefilter_of_one_repeated_point():
